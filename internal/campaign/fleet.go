@@ -315,6 +315,7 @@ func (s *fleetState) work() {
 			return
 		}
 		j := s.ready[0]
+		s.ready[0] = nil // the backing array must not pin a retired job
 		s.ready = s.ready[1:]
 
 		if j.cancel.Load() {

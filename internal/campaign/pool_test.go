@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -175,6 +176,30 @@ func TestPoolDynamic(t *testing.T) {
 		t.Errorf("Submit after Stop: err = %v, want ErrStopped", err)
 	}
 	p.Stop() // idempotent
+}
+
+// TestPoolReleasesRetiredJobs: the pool keeps no reference to a job
+// once it retired, so a long-lived pool never pins finished work.
+func TestPoolReleasesRetiredJobs(t *testing.T) {
+	p := (&Fleet{Workers: 1, Slice: 64}).Start()
+	defer p.Stop()
+	const n = 4
+	var retired, freed atomic.Int32
+	for i := 0; i < n; i++ {
+		j := &Job{Name: fmt.Sprintf("rel%d", i), Runner: &fakeRunner{budget: 256}, OnRetire: func(*Job) { retired.Add(1) }}
+		runtime.SetFinalizer(j, func(*Job) { freed.Add(1) })
+		if err := p.Submit(j); err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for retired.Load() != n || freed.Load() != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d/%d jobs retired, %d collected", retired.Load(), n, freed.Load())
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestPoolStopLeavesStateResumable: Stop finishes the in-flight slice

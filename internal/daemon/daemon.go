@@ -238,30 +238,35 @@ func New(cfg Config) (*Server, error) {
 		seq:     maxSeq,
 	}
 	for _, sp := range specs {
-		if sp.State != StateRunning {
+		var err error
+		switch sp.State {
+		case StateDone, StateCancelled, StateFailed:
 			s.adopt(newSettledRun(s, sp))
 			continue
-		}
-		r, err := s.resumeRun(sp)
-		if err != nil {
-			// A campaign that cannot be resumed is failed loudly, not
-			// silently dropped: the spec records why, the journal stays
-			// on disk for inspection.
-			fmt.Fprintf(cfg.Log, "pfuzzerd: resuming %s: %v\n", sp.ID, err)
-			sp.State = StateFailed
-			sp.Error = err.Error()
-			if werr := writeSpec(filepath.Join(cfg.Root, sp.ID), sp); werr != nil {
-				fmt.Fprintf(cfg.Log, "pfuzzerd: recording %s failure: %v\n", sp.ID, werr)
+		case StateRunning:
+			var r *run
+			if r, err = s.resumeRun(sp); err == nil {
+				s.adopt(r)
+				if err := s.pool.Submit(r.job); err != nil {
+					return nil, err // impossible: the pool was just started
+				}
+				fmt.Fprintf(cfg.Log, "pfuzzerd: resumed %s (%s/%s) at %d execs\n",
+					sp.ID, sp.Tenant, sp.Subject, r.status().Execs)
+				continue
 			}
-			s.adopt(newSettledRun(s, sp))
-			continue
+		default:
+			err = fmt.Errorf("daemon: unknown campaign state %q", sp.State)
 		}
-		s.adopt(r)
-		if err := s.pool.Submit(r.job); err != nil {
-			return nil, err // impossible: the pool was just started
+		// A campaign that cannot be resumed is failed loudly, not
+		// silently dropped: the spec records why, the journal stays on
+		// disk for inspection.
+		fmt.Fprintf(cfg.Log, "pfuzzerd: resuming %s: %v\n", sp.ID, err)
+		sp.State = StateFailed
+		sp.Error = err.Error()
+		if werr := writeSpec(filepath.Join(cfg.Root, sp.ID), sp); werr != nil {
+			fmt.Fprintf(cfg.Log, "pfuzzerd: recording %s failure: %v\n", sp.ID, werr)
 		}
-		fmt.Fprintf(cfg.Log, "pfuzzerd: resumed %s (%s/%s) at %d execs\n",
-			sp.ID, sp.Tenant, sp.Subject, r.status().Execs)
+		s.adopt(newSettledRun(s, sp))
 	}
 	return s, nil
 }
@@ -379,13 +384,15 @@ func (s *Server) Cancel(id string) error {
 	if r == nil {
 		return fmt.Errorf("%w: %s", ErrNoCampaign, id)
 	}
+	// A settled entry has released its job; settling flips settled
+	// and drops the job under r.mu, so an unsettled run still has one.
 	r.mu.Lock()
-	settled := r.settled
+	settled, state, job := r.settled, r.st.State, r.job
 	r.mu.Unlock()
 	if settled {
-		return fmt.Errorf("daemon: campaign %s is already %s", id, r.status().State)
+		return fmt.Errorf("daemon: campaign %s is already %s", id, state)
 	}
-	r.job.Cancel()
+	job.Cancel()
 	return nil
 }
 

@@ -15,15 +15,16 @@ import (
 
 // run is one campaign under daemon management: the engine, its
 // journal, its event hub and its fleet job, wrapped behind the
-// campaign.Runner interface so the shared pool can advance it.
+// campaign.Runner interface so the shared pool can advance it. Once
+// retired, a run keeps only its final Status (see settle).
 //
 // Concurrency contract: Step, the core event sink it triggers, and
 // the OnRetire finalizer all execute on the fleet worker currently
 // owning the job — never two at once — so the engine and the journal
 // need no locking of their own. r.mu guards only what crosses
-// goroutines: the published Status copy, the settled flag and the
-// first internal error. park is called only after the pool has
-// drained its workers.
+// goroutines: the published Status copy, the settled flag, the first
+// internal error, and the release of the engine and job at settling.
+// park is called only after the pool has drained its workers.
 type run struct {
 	srv *Server
 	id  string
@@ -69,22 +70,43 @@ func newRun(s *Server, sp *Spec, ten *tenant) *run {
 }
 
 // newSettledRun rebuilds the table entry for a campaign that already
-// finished in a previous daemon life: status comes from the spec's
-// final counters, the journal stays closed (and unlockable by other
-// tools), the event stream is already over.
+// finished in a previous daemon life: the status its spec records,
+// the journal left closed (and unlockable by other tools), the event
+// stream already over.
 func newSettledRun(s *Server, sp *Spec) *run {
 	r := &run{
 		srv: s, id: sp.ID, dir: filepath.Join(s.cfg.Root, sp.ID),
-		sub: sp.Submission, hub: newHub(), settled: true,
+		sub: sp.Submission, hub: newHub(),
 	}
 	r.hub.close()
-	r.st = Status{
-		ID: sp.ID, Tenant: tenantName(sp.Tenant), Subject: sp.Subject,
-		State: sp.State, Execs: sp.FinalExecs, MaxExecs: sp.MaxExecs,
-		Valids: sp.FinalValids, ElapsedMS: sp.FinalElapsedMS, Error: sp.Error,
-	}
+	r.settle(sp)
 	s.tenantFor(sp.Tenant).charge(sp.FinalExecs)
 	return r
+}
+
+// settle turns r into the table entry of the terminal spec sp: the
+// status sp records and nothing of the execution. It is the one place
+// a settled Status is built — retire applies it to the spec it just
+// wrote, newSettledRun to a spec read at start-up — so a campaign
+// reports the same status whether it settled in this daemon's life or
+// a previous one. The engine and the fleet job are released, so a
+// settled campaign costs the daemon the size of its status, not its
+// queue and cache tables.
+func (r *run) settle(sp *Spec) {
+	st := Status{
+		ID: sp.ID, Tenant: tenantName(sp.Tenant), Subject: sp.Subject,
+		State: sp.State, MaxExecs: sp.MaxExecs, Error: sp.Error,
+		Execs: sp.FinalExecs, Valids: sp.FinalValids, ElapsedMS: sp.FinalElapsedMS,
+		CoverageBlocks: sp.FinalCoverageBlocks,
+		CacheHits:      sp.FinalCacheHits, CacheMisses: sp.FinalCacheMisses,
+		SpecExecs: sp.FinalSpecExecs, SpecHits: sp.FinalSpecHits,
+		DroppedEvents: sp.FinalDroppedEvents,
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.settled = true
+	r.st = st
+	r.camp, r.job = nil, nil
 }
 
 // wrapShim swaps the entry's execution vehicle for an out-of-process
@@ -287,7 +309,8 @@ func (r *run) status() Status {
 
 // retire finalizes a campaign the fleet has retired: final snapshot,
 // journal closed (releasing its lock), shim children killed, terminal
-// state decided and persisted, the event stream closed with a
+// state and every final counter persisted, the entry settled from
+// that spec (dropping the engine), the event stream closed with a
 // terminal event. Runs on the retiring worker's goroutine, outside
 // the fleet lock.
 func (r *run) retire(j *campaign.Job) {
@@ -318,19 +341,18 @@ func (r *run) retire(j *campaign.Job) {
 	sp := &Spec{
 		ID: r.id, Submission: r.sub, State: state, Error: msg,
 		FinalExecs: res.Execs, FinalValids: len(res.Valids),
-		FinalElapsedMS: res.Elapsed.Milliseconds(),
+		FinalElapsedMS:      res.Elapsed.Milliseconds(),
+		FinalCoverageBlocks: len(res.Coverage),
+		FinalCacheHits:      res.CacheHits, FinalCacheMisses: res.CacheMisses,
+		FinalSpecExecs: res.SpecExecs, FinalSpecHits: res.SpecHits,
+		FinalDroppedEvents: r.hub.droppedCount(),
 	}
 	if werr := writeSpec(r.dir, sp); werr != nil {
 		// The campaign state is only in memory now; the next restart
 		// will re-resume it from the (intact) journal instead.
 		fmt.Fprintf(r.srv.cfg.Log, "pfuzzerd: persisting %s terminal state: %v\n", r.id, werr)
 	}
-
-	r.mu.Lock()
-	r.refreshLocked()
-	r.st.State = state
-	r.st.Error = msg
-	r.mu.Unlock()
+	r.settle(sp)
 	r.hub.publish(WireEvent{Kind: "retired", Execs: res.Execs, State: state})
 	r.hub.close()
 }

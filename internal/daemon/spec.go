@@ -58,12 +58,21 @@ type Spec struct {
 	State string `json:"state"`
 	// Error carries the failure cause for StateFailed.
 	Error string `json:"error,omitempty"`
-	// FinalExecs/FinalValids/FinalElapsedMS record the terminal
-	// counters for finished campaigns, so listings and metrics after a
-	// restart need not reopen (and re-lock) settled journals.
-	FinalExecs     int   `json:"final_execs,omitempty"`
-	FinalValids    int   `json:"final_valids,omitempty"`
-	FinalElapsedMS int64 `json:"final_elapsed_ms,omitempty"`
+	// The Final* fields record every counter a settled campaign's
+	// Status shows, so its table entry — after a restart too — is
+	// rebuilt from the spec alone, without reopening (and re-locking)
+	// its journal. Specs written before the coverage, cache,
+	// speculation and dropped-event counters were persisted decode
+	// with those at 0.
+	FinalExecs          int   `json:"final_execs,omitempty"`
+	FinalValids         int   `json:"final_valids,omitempty"`
+	FinalElapsedMS      int64 `json:"final_elapsed_ms,omitempty"`
+	FinalCoverageBlocks int   `json:"final_coverage_blocks,omitempty"`
+	FinalCacheHits      int   `json:"final_cache_hits,omitempty"`
+	FinalCacheMisses    int   `json:"final_cache_misses,omitempty"`
+	FinalSpecExecs      int   `json:"final_spec_execs,omitempty"`
+	FinalSpecHits       int   `json:"final_spec_hits,omitempty"`
+	FinalDroppedEvents  int   `json:"final_dropped_events,omitempty"`
 }
 
 const specFile = "spec.json"

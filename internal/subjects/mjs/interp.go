@@ -612,11 +612,12 @@ func (ip *interp) evalBinary(ex binaryExpr, sc *env) value {
 		return toNumber(l) / toNumber(r)
 	case tokPercent:
 		ip.t.Block(blkEArith)
-		rn := toNumber(r)
+		// Guard the truncated divisor: 0 < |rn| < 1 truncates to 0.
+		rn := int64(toNumber(r))
 		if rn == 0 {
 			return nan()
 		}
-		return float64(int64(toNumber(l)) % int64(rn))
+		return float64(int64(toNumber(l)) % rn)
 	case tokLess, tokGreater, tokLe, tokGe:
 		ip.t.Block(blkECompare)
 		return compare(ex.op, l, r)

@@ -70,6 +70,12 @@ func TestArithmetic(t *testing.T) {
 	wantNum(t, sc, "d", 1)
 	wantNum(t, sc, "e", -3)
 	wantNum(t, sc, "f", 11)
+
+	sc = evalProgram(t, `g = 7 % 0.7; h = 7 % -0.5; i = 7 % 0; j = 7 % 2.5;`)
+	wantNum(t, sc, "g", math.NaN())
+	wantNum(t, sc, "h", math.NaN())
+	wantNum(t, sc, "i", math.NaN())
+	wantNum(t, sc, "j", 1)
 }
 
 func TestStringsAndConcat(t *testing.T) {

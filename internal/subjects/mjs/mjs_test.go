@@ -127,6 +127,14 @@ func TestInterpreterTerminatesOnLoops(t *testing.T) {
 	}
 }
 
+func TestModuloByFractionDoesNotPanic(t *testing.T) {
+	// A divisor in (-1, 1) other than 0 truncates to 0; the interpreter
+	// must yield NaN instead of an integer divide-by-zero panic.
+	for _, in := range []string{"$%0.7;", "$%-0.5;"} {
+		accepts(t, in)
+	}
+}
+
 func TestRuntimeComparisonsExposeBuiltins(t *testing.T) {
 	// Evaluating an unknown identifier must strcmp it against the
 	// builtin names, exposing "undefined", "Math", "JSON" etc. as
