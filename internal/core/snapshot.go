@@ -2,11 +2,11 @@ package core
 
 import (
 	"bytes"
-	"encoding/json"
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"pfuzzer/internal/subject"
@@ -28,9 +28,11 @@ type countedSource struct {
 func (c *countedSource) Int63() int64 { c.draws++; return c.src.Int63() }
 func (c *countedSource) Seed(s int64) { c.src.Seed(s) }
 
-// snapshotVersion guards the serialized layout; Restore rejects
-// snapshots written by a different version.
-const snapshotVersion = 1
+// snapshotVersion is the in-memory layout a Snapshot describes and
+// the only one Marshal writes (the binary v2 encoding, snapcodec.go).
+// UnmarshalSnapshot also decodes version 1 JSON, converting it to this
+// layout; Restore rejects any other version.
+const snapshotVersion = 2
 
 // SavedConfig is the serializable subset of Config a Snapshot carries,
 // so resuming a campaign needs no re-specification of its knobs. The
@@ -100,50 +102,25 @@ type SnapValid struct {
 	Exec      int    `json:"exec"`
 }
 
+// SnapParent is one entry of a Snapshot's parent table: the facts of
+// one parent run, which every child derived from that run shares.
+type SnapParent struct {
+	Blks  []uint32 // the parent's trimmed covered blocks
+	Stack float64  // its average stack depth at the last two comparisons
+	Path  uint64   // its path hash
+}
+
 // SnapCandidate is one queued (or popped) search candidate in a
-// Snapshot. Shard is always -1 in snapshots this build writes (every
-// engine runs the exact queue); legacy snapshots from the retired
-// sharded-queue engine carry the shard index that held the candidate,
-// which Restore folds back into the exact queue.
+// Snapshot. Parent indexes the snapshot's ParentTable from 1; 0 means
+// the candidate carries no parent facts (a restart or mined input).
 type SnapCandidate struct {
-	Input       []byte   `json:"input"`
-	Replacement []byte   `json:"replacement,omitempty"`
-	ParentBlks  []uint32 `json:"parent_blks,omitempty"`
-	ParentStack float64  `json:"parent_stack,omitempty"`
-	ParentPath  uint64   `json:"parent_path,omitempty"`
-	Parents     int      `json:"parents,omitempty"`
-	Retries     int      `json:"retries,omitempty"`
-	MineGen     int      `json:"mine_gen,omitempty"`
-	Score       float64  `json:"score"`
-	Shard       int      `json:"shard"`
-}
-
-func snapCandidate(cd *candidate, score float64, shard int) SnapCandidate {
-	sc := SnapCandidate{
-		Input: cd.input, Replacement: cd.replacement,
-		Parents: cd.parents, Retries: cd.retries, MineGen: cd.mineGen,
-		Score: score, Shard: shard,
-	}
-	if cd.parent != nil {
-		sc.ParentBlks = cd.parent.blks
-		sc.ParentStack = cd.parent.stack
-		sc.ParentPath = cd.parent.path
-	}
-	return sc
-}
-
-func (sc *SnapCandidate) candidate() *candidate {
-	cd := &candidate{
-		input: sc.Input, replacement: sc.Replacement,
-		parents: sc.Parents, retries: sc.Retries, mineGen: sc.MineGen,
-	}
-	if len(sc.ParentBlks) > 0 || sc.ParentStack != 0 || sc.ParentPath != 0 {
-		// The snapshot flattens the shared parentFacts per candidate;
-		// rebuilding them unshared only forfeits memo reuse across
-		// former siblings, never a score value.
-		cd.parent = &parentFacts{blks: sc.ParentBlks, stack: sc.ParentStack, path: sc.ParentPath}
-	}
-	return cd
+	Input       []byte
+	Replacement []byte
+	Parent      int
+	Parents     int // substitutions on the search path
+	Retries     int
+	MineGen     int
+	Score       float64
 }
 
 // PathCount is one path-frequency entry in a Snapshot.
@@ -167,7 +144,7 @@ type SnapHybrid struct {
 	PhaseMining bool     `json:"phase_mining"`
 	PhaseKind   int      `json:"phase_kind"`
 	PhaseRound  int      `json:"phase_round"`
-	Emitted     [][]byte `json:"emitted,omitempty"` // GenerateBatch's hand-out dedup set
+	Emitted     [][]byte `json:"-"` // GenerateBatch's hand-out dedup set, sorted
 }
 
 // Snapshot is a serializable image of a campaign between Steps, and
@@ -177,51 +154,89 @@ type SnapHybrid struct {
 // one. With Workers > 1 the speculative workers hold no campaign
 // state between Steps (the memo and board are rebuilt per phase), so
 // the trajectory state captured here is the whole campaign.
+//
+// The tagged scalar fields form the JSON header of the binary
+// encoding; the bulk state (untagged) is written in its binary
+// sections (see snapcodec.go). Candidates reference their shared
+// parent-run facts through ParentTable, and Seen holds only the
+// dedup-set inputs that are not queued: Restore adds every queued
+// input back. A version 1 snapshot decodes with its full dedup set in
+// Seen, which restores the same set.
 type Snapshot struct {
 	Version int         `json:"version"`
 	Config  SavedConfig `json:"config"`
 
-	Execs         int         `json:"execs"`
-	CacheHits     int         `json:"cache_hits,omitempty"`
-	CacheMisses   int         `json:"cache_misses,omitempty"`
-	CacheRetired  bool        `json:"cache_retired,omitempty"`
-	CacheCheckAt  int         `json:"cache_check_at,omitempty"`
-	ElapsedNS     int64       `json:"elapsed_ns"`
-	ExecElapsedNS int64       `json:"exec_elapsed_ns,omitempty"`
-	RNGDraws      uint64      `json:"rng_draws"`
-	Phases        int         `json:"phases,omitempty"`
-	Began         bool        `json:"began"`
-	LongestValid  int         `json:"longest_valid,omitempty"`
-	MiningActive  bool        `json:"mining_active,omitempty"`
-	Valids        []SnapValid `json:"valids,omitempty"`
-	Coverage      []uint32    `json:"coverage,omitempty"`
-	VBr           []uint32    `json:"vbr,omitempty"`
-	Seen          [][]byte    `json:"seen,omitempty"`
-	PathSeen      []PathCount `json:"path_seen,omitempty"`
-
-	Queue []SnapCandidate `json:"queue,omitempty"`
+	Execs         int    `json:"execs"`
+	CacheHits     int    `json:"cache_hits,omitempty"`
+	CacheMisses   int    `json:"cache_misses,omitempty"`
+	CacheRetired  bool   `json:"cache_retired,omitempty"`
+	CacheCheckAt  int    `json:"cache_check_at,omitempty"`
+	ElapsedNS     int64  `json:"elapsed_ns"`
+	ExecElapsedNS int64  `json:"exec_elapsed_ns,omitempty"`
+	RNGDraws      uint64 `json:"rng_draws"`
+	Phases        int    `json:"phases,omitempty"`
+	Began         bool   `json:"began"`
+	LongestValid  int    `json:"longest_valid,omitempty"`
+	MiningActive  bool   `json:"mining_active,omitempty"`
 
 	// Serial engine loop cursor.
-	SStarted   bool           `json:"s_started"`
-	SInput     []byte         `json:"s_input,omitempty"`
-	SExt       []byte         `json:"s_ext,omitempty"`
-	SCur       *SnapCandidate `json:"s_cur,omitempty"`
-	CurParents int            `json:"cur_parents,omitempty"`
-	CurMineGen int            `json:"cur_mine_gen,omitempty"`
+	SStarted   bool   `json:"s_started"`
+	SInput     []byte `json:"s_input,omitempty"`
+	SExt       []byte `json:"s_ext,omitempty"`
+	CurParents int    `json:"cur_parents,omitempty"`
+	CurMineGen int    `json:"cur_mine_gen,omitempty"`
 
 	Hybrid *SnapHybrid `json:"hybrid,omitempty"`
+
+	Valids      []SnapValid     `json:"-"`
+	Coverage    []uint32        `json:"-"`
+	VBr         []uint32        `json:"-"`
+	Seen        [][]byte        `json:"-"` // dedup-set inputs not in Queue, sorted
+	PathSeen    []PathCount     `json:"-"`
+	ParentTable []SnapParent    `json:"-"`
+	Queue       []SnapCandidate `json:"-"` // in insertion (FIFO tie-break) order
+	SCur        *SnapCandidate  `json:"-"` // candidate SInput was popped as
+
+	// invalid records a campaign invariant the encoding relies on that
+	// Snapshot found broken; Marshal refuses to write such an image.
+	invalid error
 }
 
-// Marshal encodes the snapshot for persistence (see internal/corpus).
-func (s *Snapshot) Marshal() ([]byte, error) { return json.Marshal(s) }
+// Marshal encodes the snapshot in the binary version 2 layout for
+// persistence (see internal/corpus and snapcodec.go).
+func (s *Snapshot) Marshal() ([]byte, error) {
+	if s.invalid != nil {
+		return nil, s.invalid
+	}
+	if s.Version != snapshotVersion {
+		return nil, fmt.Errorf("core: snapshot version %d, this build writes %d", s.Version, snapshotVersion)
+	}
+	return encodeSnapshot(s)
+}
 
-// UnmarshalSnapshot decodes a snapshot written by Marshal.
+// UnmarshalSnapshot decodes a snapshot written by Marshal, or a
+// version 1 JSON snapshot written by earlier builds. It fails closed:
+// truncated, trailing or non-canonical bytes are an error, never a
+// panic, and no length is trusted beyond the bytes present.
 func UnmarshalSnapshot(b []byte) (*Snapshot, error) {
-	var s Snapshot
-	if err := json.Unmarshal(b, &s); err != nil {
+	var (
+		s   *Snapshot
+		err error
+	)
+	switch {
+	case len(b) == 0:
+		err = errors.New("empty snapshot")
+	case b[0] == '{':
+		s, err = decodeSnapshotV1(b)
+	case len(b) >= len(snapMagic) && string(b[:len(snapMagic)]) == snapMagic:
+		s, err = decodeSnapshot(b[len(snapMagic):])
+	default:
+		err = fmt.Errorf("unknown leading byte %#02x", b[0])
+	}
+	if err != nil {
 		return nil, fmt.Errorf("core: decoding snapshot: %w", err)
 	}
-	return &s, nil
+	return s, nil
 }
 
 func sortedIDs(m map[uint32]bool) []uint32 {
@@ -229,7 +244,7 @@ func sortedIDs(m map[uint32]bool) []uint32 {
 	for id := range m {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -260,31 +275,81 @@ func (c *Campaign) Snapshot() *Snapshot {
 		CurParents:    f.curParents,
 		CurMineGen:    f.curMineGen,
 	}
+	s.Valids = make([]SnapValid, len(f.res.Valids))
 	for i := range f.res.Valids {
 		v := &f.res.Valids[i]
-		s.Valids = append(s.Valids, SnapValid{Input: v.Input, NewBlocks: v.NewBlocks, Exec: v.Exec})
+		s.Valids[i] = SnapValid{Input: v.Input, NewBlocks: v.NewBlocks, Exec: v.Exec}
 	}
 	if f.res.Coverage != nil {
 		s.Coverage = sortedIDs(f.res.Coverage)
 	}
-	s.VBr = f.vBr.ids()
-	sort.Slice(s.VBr, func(i, j int) bool { return s.VBr[i] < s.VBr[j] })
-	for k := range f.seen {
-		s.Seen = append(s.Seen, []byte(k))
-	}
-	sort.Slice(s.Seen, func(i, j int) bool { return bytes.Compare(s.Seen[i], s.Seen[j]) < 0 })
+	s.VBr = f.vBr.ids() // ascending by construction
+	s.PathSeen = make([]PathCount, 0, len(f.pathSeen))
 	for h, n := range f.pathSeen {
 		s.PathSeen = append(s.PathSeen, PathCount{Hash: h, Count: *n})
 	}
-	sort.Slice(s.PathSeen, func(i, j int) bool { return s.PathSeen[i].Hash < s.PathSeen[j].Hash })
-	for _, it := range f.queue.Dump() {
-		s.Queue = append(s.Queue, snapCandidate(it.Value, it.Score, -1))
+	slices.SortFunc(s.PathSeen, func(a, b PathCount) int { return cmp.Compare(a.Hash, b.Hash) })
+
+	// One table entry per distinct parentFacts, numbered in order of
+	// first reference, so siblings keep sharing one entry (and, after
+	// Restore, one memo) instead of each repeating the parent's blocks.
+	// Siblings are pushed together, so most lookups hit the last parent.
+	parentIdx := make(map[*parentFacts]int)
+	var lastParent *parentFacts
+	lastIdx := 0
+	snapCand := func(cd *candidate, score float64) SnapCandidate {
+		sc := SnapCandidate{
+			Input: cd.input, Replacement: cd.replacement,
+			Parents: cd.parents, Retries: cd.retries, MineGen: cd.mineGen,
+			Score: score,
+		}
+		if p := cd.parent; p != nil {
+			if p != lastParent {
+				i, ok := parentIdx[p]
+				if !ok {
+					s.ParentTable = append(s.ParentTable, SnapParent{Blks: p.blks, Stack: p.stack, Path: p.path})
+					i = len(s.ParentTable)
+					parentIdx[p] = i
+				}
+				lastParent, lastIdx = p, i
+			}
+			sc.Parent = lastIdx
+		}
+		return sc
 	}
+	// Seen keeps the dedup-set inputs the queue does not hold. An FNV
+	// index over the queued inputs finds those without copying each one
+	// into a second string set; a hit is confirmed byte for byte, so a
+	// hash collision can only leave a queued input in Seen as well,
+	// which Restore's union absorbs.
+	items := f.queue.Dump()
+	s.Queue = make([]SnapCandidate, len(items))
+	queued := make(map[uint64]int32, len(items))
+	for i, it := range items {
+		in := it.Value.input
+		if _, ok := f.seen[string(in)]; !ok && s.invalid == nil {
+			// Restore rebuilds the dedup set as Seen plus the queue, so
+			// a queued input the campaign never marked seen would come
+			// back marked, and the resumed search would diverge.
+			s.invalid = fmt.Errorf("core: snapshot: queued input %q is missing from the dedup set", in)
+		}
+		if h := fnv64(in); queued[h] == 0 {
+			queued[h] = int32(i + 1)
+		}
+		s.Queue[i] = snapCand(it.Value, it.Score)
+	}
+	//pdlint:ordered -- a filtered collect; s.Seen is sorted right below
+	for k := range f.seen {
+		if i := queued[fnv64(k)]; i == 0 || string(items[i-1].Value.input) != k {
+			s.Seen = append(s.Seen, []byte(k))
+		}
+	}
+	slices.SortFunc(s.Seen, bytes.Compare)
 	if f.sCur != nil {
 		// The popped score rides along so a restored campaign's shadow
 		// simulator re-enqueues the cursor from the same base (it never
 		// affects what the campaign computes, only prediction quality).
-		sc := snapCandidate(f.sCur, f.sCurScore, -1)
+		sc := snapCand(f.sCur, f.sCurScore)
 		s.SCur = &sc
 	}
 	if f.hyb != nil {
@@ -298,6 +363,96 @@ func (c *Campaign) Snapshot() *Snapshot {
 		}
 	}
 	return s
+}
+
+// fnv64 is FNV-1a over an input's bytes.
+func fnv64[T string | []byte](b T) uint64 {
+	h := fpOffset
+	for i := 0; i < len(b); i++ {
+		h ^= uint64(b[i])
+		h *= fpPrime
+	}
+	return h
+}
+
+// maxDrawsPerExec and maxRNGDraws bound the RNG position Restore will
+// fast-forward to, at about 3.3 ns a draw on a 2-core x86 host.
+// Campaigns draw at most ~7 values per execution on every built-in
+// subject at the default knobs (hybrid mjs is the peak; a mining
+// round draws about MineMaxTokens/4 per execution), so the per-exec
+// bound leaves two orders of magnitude of headroom. The absolute one
+// caps a crafted snapshot's fast-forward near 3.5 s and still admits
+// campaigns of over a hundred million executions.
+const (
+	maxDrawsPerExec = 1024
+	maxRNGDraws     = 1 << 30
+)
+
+// validate rejects field values no campaign can have produced before
+// Restore does any work that depends on them: negative counters, an
+// RNG position out of proportion to the executions, a parent index
+// outside the table, or a hybrid stage the driver has no case for.
+func (s *Snapshot) validate() error {
+	if s.Version != snapshotVersion {
+		return fmt.Errorf("snapshot version %d, this build writes %d", s.Version, snapshotVersion)
+	}
+	for _, c := range []struct {
+		name string
+		v    int64
+	}{
+		{"execs", int64(s.Execs)}, {"cache_hits", int64(s.CacheHits)},
+		{"cache_misses", int64(s.CacheMisses)}, {"cache_check_at", int64(s.CacheCheckAt)},
+		{"elapsed_ns", s.ElapsedNS}, {"exec_elapsed_ns", s.ExecElapsedNS},
+		{"phases", int64(s.Phases)}, {"longest_valid", int64(s.LongestValid)},
+		{"cur_parents", int64(s.CurParents)}, {"cur_mine_gen", int64(s.CurMineGen)},
+	} {
+		if c.v < 0 {
+			return fmt.Errorf("negative %s %d", c.name, c.v)
+		}
+	}
+	if s.RNGDraws > maxRNGDraws || s.RNGDraws/maxDrawsPerExec > uint64(s.Execs) {
+		return fmt.Errorf("rng_draws %d out of range for %d execs", s.RNGDraws, s.Execs)
+	}
+	for i := range s.Valids {
+		if v := &s.Valids[i]; v.NewBlocks < 0 || v.Exec < 0 {
+			return fmt.Errorf("valid %d: negative new_blocks %d or exec %d", i, v.NewBlocks, v.Exec)
+		}
+	}
+	for _, pc := range s.PathSeen {
+		if pc.Count < 0 {
+			return fmt.Errorf("path %#x: negative count %d", pc.Hash, pc.Count)
+		}
+	}
+	checkCand := func(sc *SnapCandidate) error {
+		if sc.Parent < 0 || sc.Parent > len(s.ParentTable) {
+			return fmt.Errorf("parent index %d outside a table of %d", sc.Parent, len(s.ParentTable))
+		}
+		if sc.Parents < 0 || sc.Retries < 0 || sc.MineGen < 0 {
+			return fmt.Errorf("negative parents %d, retries %d or mine_gen %d", sc.Parents, sc.Retries, sc.MineGen)
+		}
+		return nil
+	}
+	for i := range s.Queue {
+		if err := checkCand(&s.Queue[i]); err != nil {
+			return fmt.Errorf("queue[%d]: %w", i, err)
+		}
+	}
+	if s.SCur != nil {
+		if err := checkCand(s.SCur); err != nil {
+			return fmt.Errorf("s_cur: %w", err)
+		}
+	}
+	if h := s.Hybrid; h != nil {
+		switch {
+		case h.Fed < 0 || h.Fed > len(s.Valids):
+			return fmt.Errorf("hybrid: fed %d outside %d valids", h.Fed, len(s.Valids))
+		case h.Stage < hsLoopTop || h.Stage > hsDone:
+			return fmt.Errorf("hybrid: unknown stage %d", h.Stage)
+		case h.PhaseKind < pkExplore || h.PhaseKind > pkFinal:
+			return fmt.Errorf("hybrid: unknown phase kind %d", h.PhaseKind)
+		}
+	}
+	return nil
 }
 
 // Restore rebuilds a campaign from a snapshot over prog — which must
@@ -315,12 +470,13 @@ func (c *Campaign) Snapshot() *Snapshot {
 // is fast-forwarded to the saved draw position and its queue, dedup
 // sets and loop cursor are rebuilt in order, so stepping it produces
 // the same executions an uninterrupted run would from that point.
+// Restore validates every field it depends on first and fails closed.
 func Restore(prog subject.Program, cfg Config, s *Snapshot) (*Campaign, error) {
 	if s == nil {
 		return nil, errors.New("core: nil snapshot")
 	}
-	if s.Version != snapshotVersion {
-		return nil, fmt.Errorf("core: snapshot version %d, this build writes %d", s.Version, snapshotVersion)
+	if err := s.validate(); err != nil {
+		return nil, fmt.Errorf("core: restoring snapshot: %w", err)
 	}
 	base := s.Config.config()
 	base.Events = cfg.Events
@@ -402,19 +558,35 @@ func Restore(prog subject.Program, cfg Config, s *Snapshot) (*Campaign, error) {
 	f.sExt = s.SExt
 	f.curParents = s.CurParents
 	f.curMineGen = s.CurMineGen
+
+	// One shared parentFacts per table entry: former siblings share
+	// their blocks and score memo again, as in a campaign that never
+	// stopped.
+	parents := make([]*parentFacts, len(s.ParentTable))
+	for i := range s.ParentTable {
+		p := &s.ParentTable[i]
+		parents[i] = &parentFacts{blks: p.Blks, stack: p.Stack, path: p.Path}
+	}
+	candidate := func(sc *SnapCandidate) *candidate {
+		cd := &candidate{
+			input: sc.Input, replacement: sc.Replacement,
+			parents: sc.Parents, retries: sc.Retries, mineGen: sc.MineGen,
+		}
+		if sc.Parent > 0 {
+			cd.parent = parents[sc.Parent-1]
+		}
+		return cd
+	}
 	if s.SCur != nil {
-		f.sCur = s.SCur.candidate()
+		f.sCur = candidate(s.SCur)
 		f.sCurScore = s.SCur.Score
 	}
-
-	// Every candidate restores into the exact queue in snapshot order.
-	// Legacy snapshots from the retired sharded-queue engine carry
-	// Shard >= 0 entries; folding them into the one queue preserves
-	// their scores and relative order, which is all that engine
-	// guaranteed anyway.
+	// Every candidate restores into the exact queue in snapshot order,
+	// and back into the dedup set Seen leaves it out of.
 	for i := range s.Queue {
 		e := &s.Queue[i]
-		f.queue.Push(e.candidate(), e.Score)
+		f.seen[string(e.Input)] = struct{}{}
+		f.queue.Push(candidate(e), e.Score)
 	}
 
 	if s.Hybrid != nil {
@@ -422,7 +594,7 @@ func Restore(prog subject.Program, cfg Config, s *Snapshot) (*Campaign, error) {
 		hb := s.Hybrid
 		// Replay the valids the original had folded in, in emission
 		// order, reproducing the incremental grammar exactly.
-		for i := 0; i < hb.Fed && i < len(f.res.Valids); i++ {
+		for i := 0; i < hb.Fed; i++ {
 			h.g.Add(f.res.Valids[i].Input)
 		}
 		h.g.MarkEmitted(hb.Emitted)

@@ -32,7 +32,8 @@
 // ever needed, so superseded ones occupy no space and recovery never
 // re-reads history; a torn write can only affect the temp file, never
 // the published snapshot, and external corruption is caught by gzip's
-// own checksum.
+// own checksum. A sidecar that inflates beyond maxSnapshot reads as
+// no snapshot too.
 //
 // A journal is single-writer across processes: Create and Open take
 // an exclusive advisory flock on it and fail with ErrLocked while
@@ -65,6 +66,12 @@ const (
 // maxRecord bounds a single record's payload; larger frames are
 // treated as corruption during recovery.
 const maxRecord = 1 << 30
+
+// maxSnapshot bounds a snapshot sidecar's decompressed size, so a
+// gzip bomb planted in the sidecar cannot exhaust memory on Open: a
+// larger one reads as "no snapshot", like a corrupt one. A snapshot
+// after 50k executions is a few MB; a variable so tests can shrink it.
+var maxSnapshot int64 = 256 << 20
 
 // Meta identifies the campaign a store belongs to.
 type Meta struct {
@@ -238,7 +245,8 @@ func Open(path string) (*Store, error) {
 	}
 	// The sidecar always holds a complete previous snapshot (writes
 	// go through temp+rename); gzip's own checksum catches external
-	// corruption, which reads as "no snapshot" rather than bad state.
+	// corruption, which reads as "no snapshot" rather than bad state,
+	// and so does a sidecar that inflates beyond maxSnapshot.
 	if data, err := os.ReadFile(SnapPath(path)); err == nil {
 		if blob, err := gunzip(data); err == nil {
 			s.snap = blob
@@ -315,8 +323,13 @@ func (s *Store) AppendSnapshot(blob []byte) error {
 	if err := s.f.Sync(); err != nil {
 		return fmt.Errorf("corpus: sync: %w", err)
 	}
+	// BestSpeed: the blob is already compact, and the cut sits on every
+	// campaign's path to settled. Readers do not depend on the level.
 	var z bytes.Buffer
-	zw := gzip.NewWriter(&z)
+	zw, err := gzip.NewWriterLevel(&z, gzip.BestSpeed)
+	if err != nil {
+		return fmt.Errorf("corpus: compressing snapshot: %w", err)
+	}
 	if _, err := zw.Write(blob); err != nil {
 		return fmt.Errorf("corpus: compressing snapshot: %w", err)
 	}
@@ -377,15 +390,21 @@ func syncDir(path string) error {
 	return nil
 }
 
+// gunzip inflates a snapshot sidecar, refusing one that inflates
+// beyond maxSnapshot bytes before it has read more than one byte past
+// the bound.
 func gunzip(b []byte) ([]byte, error) {
 	zr, err := gzip.NewReader(bytes.NewReader(b))
 	if err != nil {
 		return nil, err
 	}
 	defer zr.Close()
-	out, err := io.ReadAll(zr)
+	out, err := io.ReadAll(io.LimitReader(zr, maxSnapshot+1))
 	if err != nil {
 		return nil, err
+	}
+	if int64(len(out)) > maxSnapshot {
+		return nil, fmt.Errorf("corpus: snapshot inflates beyond %d bytes", maxSnapshot)
 	}
 	return out, nil
 }

@@ -2,8 +2,10 @@ package corpus
 
 import (
 	"bytes"
+	"compress/gzip"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -232,6 +234,73 @@ func TestSnapshotSidecarCorrupt(t *testing.T) {
 	defer r2.Close()
 	if string(r2.Snapshot()) != `{"execs":8}` {
 		t.Errorf("repaired sidecar holds %q", r2.Snapshot())
+	}
+}
+
+// writeSidecar gzips size bytes of '{' at level into path's snapshot
+// sidecar, streaming them so a bomb never sits in memory uncompressed.
+func writeSidecar(t *testing.T, path string, size int64, level int) {
+	t.Helper()
+	var z bytes.Buffer
+	zw, err := gzip.NewWriterLevel(&z, level)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunk := bytes.Repeat([]byte{'{'}, 64<<10)
+	for left := size; left > 0; left -= int64(len(chunk)) {
+		zw.Write(chunk[:min(left, int64(len(chunk)))])
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(SnapPath(path), z.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSnapshotSidecarBomb: a sidecar that inflates beyond maxSnapshot
+// reads as "no snapshot", and Open allocates about the bound, not the
+// inflated size. One exactly at the bound, and one compressed at
+// another level than AppendSnapshot's (as older builds wrote them),
+// still open.
+func TestSnapshotSidecarBomb(t *testing.T) {
+	defer func(old int64) { maxSnapshot = old }(maxSnapshot)
+	maxSnapshot = 64 << 10
+	path := tempJournal(t)
+	s, err := Create(path, Meta{Subject: "expr", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	for _, tc := range []struct {
+		name  string
+		size  int64
+		level int
+		want  bool
+	}{
+		{"bomb", 512 * maxSnapshot, gzip.BestCompression, false},
+		{"one past the bound", maxSnapshot + 1, gzip.BestSpeed, false},
+		{"at the bound", maxSnapshot, gzip.BestSpeed, true},
+		{"default level", 1 << 10, gzip.DefaultCompression, true},
+	} {
+		writeSidecar(t, path, tc.size, tc.level)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r, err := Open(path)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := r.Snapshot() != nil; got != tc.want {
+			t.Errorf("%s: snapshot present = %v, want %v", tc.name, got, tc.want)
+		} else if tc.want && !bytes.Equal(r.Snapshot(), bytes.Repeat([]byte{'{'}, int(tc.size))) {
+			t.Errorf("%s: snapshot bytes differ", tc.name)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16*uint64(maxSnapshot) {
+			t.Errorf("%s: Open allocated %d bytes for a %d-byte bound", tc.name, alloc, maxSnapshot)
+		}
+		r.Close()
 	}
 }
 
