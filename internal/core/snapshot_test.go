@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
@@ -255,7 +256,7 @@ func TestUnmarshalRejectsMalformed(t *testing.T) {
 			t.Fatalf("accepted the blob truncated to %d of %d bytes", n, len(blob))
 		}
 	}
-	hdrLen, k := decodeUvarintForTest(blob[len(snapMagic):])
+	hdrLen, k := binary.Uvarint(blob[len(snapMagic):])
 	hdrAt := len(snapMagic) + k
 	hdr := blob[hdrAt : hdrAt+int(hdrLen)]
 	rest := blob[hdrAt+int(hdrLen):]
@@ -282,12 +283,6 @@ func TestUnmarshalRejectsMalformed(t *testing.T) {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
-}
-
-func decodeUvarintForTest(b []byte) (uint64, int) {
-	r := snapReader{b: b}
-	v := r.uvarint()
-	return v, len(b) - len(r.b)
 }
 
 // FuzzSnapshotDecode feeds arbitrary bytes to UnmarshalSnapshot and
