@@ -32,11 +32,10 @@ import (
 
 // walltimeSinks are the declared diagnostics-only clock readers
 // (walltime's escape hatch, DESIGN.md §12): execFacts stamps
-// Result.ExecElapsed and speculate feeds the EWMA batch auto-tuner;
-// neither duration influences campaign decisions or fingerprints.
+// Result.ExecElapsed, which influences no campaign decision or
+// fingerprint.
 var walltimeSinks = []string{
 	"(*pfuzzer/internal/core.Fuzzer).execFacts",
-	"(*pfuzzer/internal/core.specPool).speculate",
 }
 
 // scopes maps each analyzer to the package-path prefixes its contract

@@ -4,35 +4,29 @@
 //
 // Usage:
 //
-//	pfuzzer -subject cjson [-execs 100000] [-seed 1] [-workers 4]
-//	        [-batch n] [-spec-depth n] [-quiet] [-cache=false] [-mine]
-//	        [-mine-budget n] [-mine-tokens n] [-mine-cadence n] [-out file]
-//	        [-resume file] [-snap-every n] [-mine-from file] [-shim bin]
+//	pfuzzer -subject cjson [-execs 100000] [-seed 1] [-quiet]
+//	        [-cache=false] [-mine] [-mine-budget n] [-mine-tokens n]
+//	        [-mine-cadence n] [-out file] [-resume file] [-snap-every n] [-mine-from file] [-shim bin]
 //	pfuzzer -list
 //
 // Subjects: ini, csv, cjson, tinyc, mjs, expr, paren, urlp, sexpr,
 // httpreq, dotg (-list prints them with block counts and
 // token-inventory sizes).
 //
-// Campaigns are deterministic under -seed at every -workers count:
-// extra workers speculatively prefetch the executions the campaign
-// trajectory is about to need (DESIGN.md §11), which changes
-// wall-clock only, never the corpus. -batch caps how many upcoming
-// executions each trajectory iteration announces to the workers
-// (0 auto-tunes from the observed execution latency). -mine
-// enables the hybrid campaign (paper §7.4): a token grammar is mined
-// from the valid corpus and used to generate longer candidates, which
-// are validated through the same engine and fed back into the miner.
+// Campaigns are deterministic under -seed. -mine enables the hybrid
+// campaign (paper §7.4): a token grammar is mined from the valid
+// corpus and used to generate longer candidates, which are validated
+// through the same engine and fed back into the miner.
 //
 // -out journals the campaign into a persistent corpus store
 // (internal/corpus): every valid input as it is found, plus an engine
 // snapshot every -snap-every executions. A campaign killed mid-run
-// resumes with -resume from the journal's last snapshot; on the
-// serial engine the resumed campaign re-finds exactly the valids lost
-// after that snapshot, so the journal converges to the uninterrupted
-// run's corpus at the same total budget. -mine-from seeds the -mine
-// grammar from a previously saved corpus without resuming it — the
-// §7.4 chain (fuzz, mine, generate) across process restarts.
+// resumes with -resume from the journal's last snapshot; the resumed
+// campaign re-finds exactly the valids lost after that snapshot, so
+// the journal converges to the uninterrupted run's corpus at the same
+// total budget. -mine-from seeds the -mine grammar from a previously
+// saved corpus without resuming it — the §7.4 chain (fuzz, mine,
+// generate) across process restarts.
 //
 // -shim drives the subject out of process through a child binary
 // speaking the shim protocol (DESIGN.md §14) — cmd/pshim serves every
@@ -70,9 +64,6 @@ func main() {
 		execs       = flag.Int("execs", 100000, "execution budget")
 		seed        = flag.Int64("seed", 1, "RNG seed")
 		maxValids   = flag.Int("valids", 0, "stop after N valid inputs (0 = run out the budget)")
-		workers     = flag.Int("workers", 1, "engine concurrency: 1 = serial, more add speculative executors; the corpus is bit-identical at every count")
-		batch       = flag.Int("batch", 0, "speculation batch size per trajectory iteration (0 = auto-tune from execution latency); wall-clock knob only")
-		specDepth   = flag.Int("spec-depth", 0, "shadow-simulation lookahead: iterations of the trajectory simulated ahead per publish (0 = default, negative = off); wall-clock knob only")
 		cache       = flag.Bool("cache", true, "prefix-decided execution cache (adaptive; identical output either way, see DESIGN.md §10); with -resume an explicitly passed value overrides the snapshot and true forces the cache on, retirement disabled")
 		quiet       = flag.Bool("quiet", false, "print only the summary")
 		list        = flag.Bool("list", false, "list registered subjects and exit")
@@ -106,10 +97,8 @@ func main() {
 		warnIgnoredOnResume()
 		run = resume(*resumePath, *execs, *maxValids, cacheMode(*cache), *quiet, *shimBin)
 	} else {
-		cfg := flagConfig(*subjectName, *seed, *execs, *maxValids, *workers,
+		cfg := flagConfig(*subjectName, *seed, *execs, *maxValids,
 			*minePhase, *mineBudget, *mineTokens, *mineCadence, *mineFrom)
-		cfg.BatchSize = *batch
-		cfg.SpecDepth = *specDepth
 		if !*cache {
 			cfg.Cache = core.CacheOff
 		}
@@ -216,9 +205,8 @@ func explicit(name string) bool {
 // overrides (the shim is an execution vehicle, not campaign state).
 func warnIgnoredOnResume() {
 	ignored := map[string]bool{
-		"subject": true, "seed": true, "workers": true, "batch": true,
-		"spec-depth": true,
-		"mine":       true, "mine-budget": true, "mine-tokens": true,
+		"subject": true, "seed": true,
+		"mine": true, "mine-budget": true, "mine-tokens": true,
 		"mine-cadence": true, "mine-from": true,
 	}
 	flag.Visit(func(f *flag.Flag) {
@@ -256,10 +244,10 @@ func shimWrap(entry registry.Entry, shimBin string) (registry.Entry, *shim.Host)
 	return shim.WrapEntry(entry, host), host
 }
 
-func flagConfig(subject string, seed int64, execs, maxValids, workers int,
+func flagConfig(subject string, seed int64, execs, maxValids int,
 	mine bool, mineBudget, mineTokens, mineCadence int, mineFrom string) core.Config {
 	cfg := core.Config{
-		Seed: seed, MaxExecs: execs, MaxValids: maxValids, Workers: workers,
+		Seed: seed, MaxExecs: execs, MaxValids: maxValids,
 		MinePhase: mine, MineBudget: mineBudget,
 		MineMaxTokens: mineTokens, MineCadence: mineCadence,
 	}

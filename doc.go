@@ -7,18 +7,16 @@
 // satisfies the comparisons that led to rejection, and appends
 // characters whenever the parser reads past the end of the input.
 //
-// Campaigns run on one of two engines behind core.Config.Workers: the
-// serial engine (deterministic under a fixed seed, the paper's
-// Algorithm 1 verbatim) or the concurrent engine, an executor pool
-// feeding a central scheduler over a sharded priority queue.
+// A campaign runs on one serial engine, the paper's Algorithm 1
+// verbatim and deterministic under a fixed seed. Parallelism lives
+// across campaigns: internal/campaign steps many of them at once.
 //
 // Layout:
 //
-//	internal/core     the fuzzing algorithm (paper Algorithm 1):
-//	                  serial engine, parallel scheduler + executors
+//	internal/core     the fuzzing algorithm (paper Algorithm 1)
 //	internal/taint    dynamic taint tracking for input characters
 //	internal/trace    the instrumentation runtime parsers run against
-//	internal/pqueue   the search's priority queue, exact and sharded
+//	internal/pqueue   the search's priority queue
 //	internal/subjects the five evaluation subjects (ini, csv, cJSON,
 //	                  tinyC, mjs) plus the §2/§3 demo parsers
 //	internal/afl      the AFL-style coverage-guided baseline

@@ -5,8 +5,8 @@
 // analyzers share.
 //
 // The framework exists because the determinism contract the engine's
-// golden tests pin dynamically — Workers>1 bit-identical to serial,
-// cache transparency, snapshot/resume exactness — is violated by a
+// golden tests pin dynamically — seed-identical sequences, cache
+// transparency, snapshot/resume exactness — is violated by a
 // handful of *syntactic* shapes (map-range order, wall-clock reads in
 // result paths, uncounted RNG draws, mixed atomic/plain access,
 // untraced subject comparisons) that can be rejected at CI time,

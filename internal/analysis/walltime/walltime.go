@@ -5,8 +5,8 @@
 // a wall-clock read on a result path is how elapsed-time heuristics
 // and timing-dependent batching silently break bit-reproducibility.
 //
-// Timing that is genuinely diagnostic — Result.ExecElapsed, the EWMA
-// batch auto-tuner — lives in declared sinks: functions allowlisted by
+// Timing that is genuinely diagnostic — Result.ExecElapsed — lives
+// in declared sinks: functions allowlisted by
 // the driver (New's sinks argument, full types.Func names). Everything
 // else should route through the stepclock package, whose whole job is
 // campaign timekeeping.

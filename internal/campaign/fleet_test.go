@@ -162,55 +162,8 @@ func TestFleetProgressSerialized(t *testing.T) {
 	}
 }
 
-// TestParallelCampaignSnapshotExact: the speculative pipeline engine
-// rebuilds its worker pool per phase and drains it before every Step
-// returns, so a Workers>1 campaign cut mid-run, marshalled, restored
-// and driven to the same budget reproduces the uninterrupted run's
-// corpus bit for bit — parallel snapshots are exact, not approximate,
-// which is what lets the corpus store resume a multicore campaign.
-func TestParallelCampaignSnapshotExact(t *testing.T) {
-	e, _ := registry.Get("expr")
-	cfg := core.Config{Seed: 11, MaxExecs: 4000, Workers: 4}
-	want := core.New(e.New(), cfg).Run()
-
-	serial := core.New(e.New(), core.Config{Seed: 11, MaxExecs: 4000}).Run()
-	if want.Fingerprint() != serial.Fingerprint() {
-		t.Fatalf("Workers=4 run diverges from serial before any snapshot (%#x vs %#x)",
-			want.Fingerprint(), serial.Fingerprint())
-	}
-
-	first := core.NewCampaign(e.New(), cfg)
-	for first.Result().Execs < 1600 {
-		if _, more := first.Step(257); !more {
-			t.Fatalf("campaign finished before the cut at %d execs", first.Result().Execs)
-		}
-	}
-	blob, err := first.Snapshot().Marshal()
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	snap, err := core.UnmarshalSnapshot(blob)
-	if err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	resumed, err := core.Restore(e.New(), core.Config{}, snap)
-	if err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	for {
-		if spent, more := resumed.Step(173); !more || spent == 0 {
-			break
-		}
-	}
-	got := resumed.Result()
-	if got.Fingerprint() != want.Fingerprint() {
-		t.Errorf("resumed parallel campaign fingerprint %#x, uninterrupted %#x (%d vs %d valids)",
-			got.Fingerprint(), want.Fingerprint(), len(got.Valids), len(want.Valids))
-	}
-}
-
 // TestFleetCampaignSeedIdentical is the orchestration acceptance
-// property: serial (Workers <= 1) pFuzzer campaigns multiplexed
+// property: pFuzzer campaigns multiplexed
 // through a concurrent fleet emit exactly the sequences their
 // standalone Runs do — slicing and interleaving perturb nothing.
 func TestFleetCampaignSeedIdentical(t *testing.T) {

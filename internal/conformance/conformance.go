@@ -10,8 +10,8 @@
 //
 //   - Determinism: the same input produces the identical trace
 //     (comparisons, EOF accesses, block sequence, path hash) on every
-//     run, including concurrent runs over one shared Program value —
-//     the Config.Workers > 1 contract.
+//     run, including concurrent runs over one shared Program value,
+//     so a Program may be shared across goroutines.
 //   - Prefix behaviour: truncating an input changes the trace only
 //     from the first EOF access on (trace-prefix agreement); the
 //     rejection offset grows monotonically with the prefix length;
@@ -20,13 +20,10 @@
 //   - Lexer round-trip: rendering a lexed token stream with the
 //     miner's separator rule re-lexes to exactly the same stream
 //     (Render ∘ lex = id), the identity grammar mining is built on.
-//   - Engine agreement: at Workers <= 1 the serial engine, the
-//     Workers=1 configuration, sliced stepping and the hybrid
-//     campaign's exploration phase all emit the identical corpus, and
-//     every engine only ever emits inputs the subject accepts.
-//   - Parallel agreement: a Workers=4 campaign emits the same valid
-//     corpus as Workers=1 at the same budget — set-equal by contract,
-//     and bit-identical on the speculative pipeline engine.
+//   - Engine agreement: a blocking run, sliced stepping and the
+//     hybrid campaign's exploration phase all emit the identical
+//     corpus, and every campaign only ever emits inputs the subject
+//     accepts.
 //   - Snapshot/resume: a campaign cut mid-run, marshalled, restored
 //     and driven to the same budget reproduces the uninterrupted
 //     corpus bit for bit.
@@ -101,7 +98,6 @@ func CheckWith(t *testing.T, e registry.Entry, o Options) {
 	t.Run("prefix", func(t *testing.T) { checkPrefix(t, e, probes) })
 	t.Run("lexer-roundtrip", func(t *testing.T) { checkLexerRoundTrip(t, e, valids) })
 	t.Run("engine-agreement", func(t *testing.T) { checkEngineAgreement(t, e, o) })
-	t.Run("parallel-agreement", func(t *testing.T) { checkParallelAgreement(t, e, o) })
 	t.Run("snapshot-resume", func(t *testing.T) { checkSnapshotResume(t, e, o) })
 	t.Run("cache-transparency", func(t *testing.T) { checkCacheTransparency(t, e, o) })
 }
@@ -208,7 +204,7 @@ func checkDeterminism(t *testing.T, e registry.Entry, probes [][]byte) {
 	// Cap the concurrent phase at ~50 probes, but sample them with a
 	// stride across the whole set: the tail probes (mutations, random
 	// strings) are the rejecting ones, and rejection paths are the
-	// bulk of what the parallel engine actually executes.
+	// bulk of what a campaign actually executes.
 	shared := e.New()
 	stride := 1
 	if len(probes) > 50 {
@@ -382,22 +378,15 @@ func checkSound(t *testing.T, e registry.Entry, res *core.Result, label string) 
 	}
 }
 
-// checkEngineAgreement: Workers 0, Workers 1 and sliced stepping are
+// checkEngineAgreement: a blocking run and sliced stepping are
 // bit-identical; the hybrid campaign's exploration reproduces the
-// pure campaign's corpus as a prefix; and every engine — the parallel
-// one included — emits only genuinely accepted inputs.
+// pure campaign's corpus as a prefix; and both emit only genuinely
+// accepted inputs.
 func checkEngineAgreement(t *testing.T, e registry.Entry, o Options) {
 	base := core.Config{Seed: o.Seed, MaxExecs: o.EngineExecs}
 
 	w0 := core.New(e.New(), base).Run()
 	checkSound(t, e, w0, "serial engine")
-
-	cfg1 := base
-	cfg1.Workers = 1
-	w1 := core.New(e.New(), cfg1).Run()
-	if w0.Fingerprint() != w1.Fingerprint() || !validsEqual(w0.Valids, w1.Valids) {
-		t.Errorf("Workers=0 and Workers=1 disagree: %d vs %d valids", len(w0.Valids), len(w1.Valids))
-	}
 
 	stepped := core.NewCampaign(e.New(), base)
 	for {
@@ -420,76 +409,6 @@ func checkEngineAgreement(t *testing.T, e registry.Entry, o Options) {
 	if len(hy.Valids) < len(w0.Valids) || !validsEqual(hy.Valids[:len(w0.Valids)], w0.Valids) {
 		t.Errorf("hybrid exploration is not corpus-identical to the pure campaign (%d vs %d valids)",
 			len(hy.Valids), len(w0.Valids))
-	}
-
-	par := base
-	par.Workers = 4
-	pres := core.New(e.New(), par).Run()
-	checkSound(t, e, pres, "parallel engine")
-}
-
-// checkParallelAgreement: a Workers=4 campaign emits a valid corpus
-// set-equal to the Workers=1 campaign at the same budget. The
-// speculative pipeline engine actually guarantees more — the corpora
-// are bit-identical, same inputs at the same execution indices with
-// the same cache counters — so after establishing the set property
-// the check pins the stronger one too; a subject for which only
-// set-equality held would mean its executions are nondeterministic in
-// a way the trajectory masks, which the earlier determinism property
-// should have caught. Run under -race in CI, this is also the data-race
-// proof for the board/memo hand-off against a real registered subject.
-func checkParallelAgreement(t *testing.T, e registry.Entry, o Options) {
-	base := core.Config{Seed: o.Seed, MaxExecs: o.EngineExecs}
-	w1 := core.New(e.New(), base).Run()
-	par := base
-	par.Workers = 4
-	w4 := core.New(e.New(), par).Run()
-
-	set := func(vs []core.Valid) map[string]bool {
-		m := make(map[string]bool, len(vs))
-		for _, v := range vs {
-			m[string(v.Input)] = true
-		}
-		return m
-	}
-	s1, s4 := set(w1.Valids), set(w4.Valids)
-	for in := range s1 {
-		if !s4[in] {
-			t.Errorf("Workers=1 valid %q missing from the Workers=4 corpus", in)
-		}
-	}
-	for in := range s4 {
-		if !s1[in] {
-			t.Errorf("Workers=4 emitted %q, which the Workers=1 campaign never found", in)
-		}
-	}
-
-	if w4.Fingerprint() != w1.Fingerprint() || !validsEqual(w4.Valids, w1.Valids) {
-		t.Errorf("Workers=4 corpus is set-equal but not bit-identical to Workers=1 (%d vs %d valids, fingerprints %#x vs %#x)",
-			len(w4.Valids), len(w1.Valids), w4.Fingerprint(), w1.Fingerprint())
-	}
-	if w4.CacheHits != w1.CacheHits || w4.CacheMisses != w1.CacheMisses {
-		t.Errorf("Workers=4 cache counters (%d hits, %d misses) diverge from Workers=1 (%d, %d)",
-			w4.CacheHits, w4.CacheMisses, w1.CacheHits, w1.CacheMisses)
-	}
-
-	// The spec-depth axis: the w4 run above already exercises the
-	// default shadow lookahead, so one deep-simulation run pins the
-	// property that matters — shadow predictions announce executions
-	// but can never admit one the serial schedule wouldn't, no matter
-	// how far (and how wrongly) the simulator rolls ahead on this
-	// subject's grammar. Cache counters ride along: a prediction that
-	// leaked into the cache-admission order would surface there first.
-	deep := par
-	deep.SpecDepth = 16
-	wd := core.New(e.New(), deep).Run()
-	if wd.Fingerprint() != w1.Fingerprint() {
-		t.Errorf("Workers=4 SpecDepth=16 fingerprint %#x diverges from Workers=1 %#x",
-			wd.Fingerprint(), w1.Fingerprint())
-	}
-	if wd.CacheHits != w1.CacheHits || wd.CacheMisses != w1.CacheMisses {
-		t.Errorf("Workers=4 SpecDepth=16 cache counters (%d hits, %d misses) diverge from Workers=1 (%d, %d)",
-			wd.CacheHits, wd.CacheMisses, w1.CacheHits, w1.CacheMisses)
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 // TestConformanceSelfShim is the acceptance gate for the whole
 // out-of-process stack: the full conformance kit — determinism
 // (including concurrent runs over one shared Program), prefix
-// behaviour, engine and parallel agreement with bit-identical
-// fingerprints, cache transparency, snapshot/resume — run over
+// behaviour, engine agreement with bit-identical fingerprints, cache
+// transparency, snapshot/resume — run over
 // subjects served through the shim instead of in process. Every
 // execution crosses the framed protocol and is replayed into the
 // parent's tracer, so a single byte of divergence anywhere in the

@@ -9,12 +9,10 @@ import (
 	"pfuzzer/internal/trace"
 )
 
-// Allocation benchmarks for the trajectory hot path (ISSUE 8). The
-// serial engine's per-exec cost is the campaign's critical path — the
-// speculative pipeline can hide subject execution on workers, but every
-// allocation the trajectory goroutine performs per execution is serial
-// time no amount of speculation recovers. Run with -benchmem; the
-// steady-state figures are pinned (with slack) by alloc_pin_test.go.
+// Allocation benchmarks for the engine's hot path. Every allocation
+// the loop performs per execution is time on the campaign's critical
+// path. Run with -benchmem; the steady-state figures are pinned (with
+// slack) by alloc_pin_test.go.
 
 // BenchmarkSinkExecute measures one sink-backed subject execution —
 // the trace-collection layer alone, no distillation. Steady state:

@@ -123,37 +123,6 @@ func TestSnapshotResumeEquivalence(t *testing.T) {
 	}
 }
 
-// TestSnapshotRestoreParallel smoke-tests snapshot/restore across the
-// concurrent engine: the resumed campaign must complete its budget
-// and keep every restored valid, though emission order past the cut
-// is nondeterministic by design.
-func TestSnapshotRestoreParallel(t *testing.T) {
-	cfg := Config{Seed: 3, MaxExecs: 12000, Workers: 4}
-	c := NewCampaign(cjson.New(), cfg)
-	c.Step(5000)
-	snap := c.Snapshot()
-	cut := len(snap.Valids)
-	if cut == 0 {
-		t.Fatal("no valids before the snapshot cut")
-	}
-	resumed, err := Restore(cjson.New(), Config{}, snap)
-	if err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	res := stepOut(t, resumed, 4000)
-	if res.Execs < cfg.MaxExecs {
-		t.Errorf("resumed campaign stopped at %d execs, want >= %d", res.Execs, cfg.MaxExecs)
-	}
-	for i := 0; i < cut; i++ {
-		if string(res.Valids[i].Input) != string(snap.Valids[i].Input) {
-			t.Fatalf("restored valid[%d] = %q, snapshot had %q", i, res.Valids[i].Input, snap.Valids[i].Input)
-		}
-	}
-	if len(res.Valids) < cut {
-		t.Errorf("resumed campaign lost valids: %d < %d", len(res.Valids), cut)
-	}
-}
-
 // TestRestoreRejectsBadSnapshot pins the version guard.
 func TestRestoreRejectsBadSnapshot(t *testing.T) {
 	if _, err := Restore(expr.New(), Config{}, nil); err == nil {

@@ -7,18 +7,18 @@ import (
 	"pfuzzer/internal/trace"
 )
 
-// traceOpts is the recording configuration both engines execute
+// traceOpts is the recording configuration the engine executes
 // subjects under. The ordered block sequence is off: the search only
 // consumes the first-hit block set, the comparisons, and the path
 // hash, and skipping the sequence keeps per-execution allocation (and
-// the per-worker sinks) small.
+// the reusable sink) small.
 func traceOpts() trace.Options { return trace.Options{Comparisons: true} }
 
 // runFacts is the distilled outcome of one subject execution: every
 // datum the campaign algorithm consumes, copied out of the (possibly
 // sink-backed, reusable) trace record. Extracting facts immediately
-// after the run is what lets executors reuse their trace buffers and
-// ship a compact value to the scheduler instead of the full record.
+// after the run is what lets the engine reuse its trace buffers and
+// the cache memoise a compact value instead of the full record.
 type runFacts struct {
 	input     []byte
 	accepted  bool
@@ -52,9 +52,8 @@ func factsOf(rec *trace.Record, deriving bool) *runFacts {
 }
 
 // factsOfInto is factsOf distilling into a caller-owned struct — the
-// trajectory passes its per-Fuzzer scratch (see runFactsInto for why
-// that is sound), the speculative workers a fresh struct, since their
-// memo entries outlive the distilling call.
+// engine passes its per-Fuzzer scratch (see runFactsInto for why that
+// is sound).
 func factsOfInto(rf *runFacts, rec *trace.Record, deriving bool) *runFacts {
 	*rf = runFacts{
 		input:    rec.Input,
@@ -120,21 +119,12 @@ func factsOfInto(rf *runFacts, rec *trace.Record, deriving bool) *runFacts {
 	return rf
 }
 
-// pruner is the queue surface the prune-with-hysteresis rule needs;
-// both the serial engine's exact Queue and the parallel engine's
-// Sharded queue satisfy it.
-type pruner interface {
-	Len() int
-	Prune(max int)
-}
-
-// pruneIfOvergrown bounds q to MaxQueue with hysteresis: draining a
-// heap is O(max·log n), so prune only when the queue has grown half
-// again past its bound. Both engines share this rule so they cannot
-// silently drift apart.
-func (f *Fuzzer) pruneIfOvergrown(q pruner) {
-	if q.Len() > f.cfg.MaxQueue+f.cfg.MaxQueue/2 {
-		q.Prune(f.cfg.MaxQueue)
+// pruneIfOvergrown bounds the queue to MaxQueue with hysteresis:
+// draining a heap is O(max·log n), so prune only when the queue has
+// grown half again past its bound.
+func (f *Fuzzer) pruneIfOvergrown() {
+	if f.queue.Len() > f.cfg.MaxQueue+f.cfg.MaxQueue/2 {
+		f.queue.Prune(f.cfg.MaxQueue)
 	}
 }
 
@@ -229,9 +219,8 @@ func (f *Fuzzer) recordLength(rf *runFacts, mineGen int) {
 // emitValid records rf as a newly found valid input: it appends it to
 // the result (deduplicated), merges its blocks into the result
 // coverage and into vBr, and emits an EventValid. Re-scoring
-// the queue against the grown vBr is the caller's business — the
-// serial engine re-scores immediately (the paper's per-valid pass),
-// the scheduler defers it to the next generation merge.
+// the queue against the grown vBr is the caller's business: checkRun
+// re-scores immediately (the paper's per-valid pass).
 func (f *Fuzzer) emitValid(rf *runFacts) {
 	key := string(rf.input)
 	if _, dup := f.validSeen[key]; !dup {

@@ -13,28 +13,21 @@
 // new code are emitted; by construction every emitted input is
 // accepted by the parser.
 //
-// The package provides two campaign engines behind one Config knob
-// (see DESIGN.md §5 and §11 for the architecture):
+// The engine is one serial loop (serial.go), bit-for-bit deterministic
+// under a fixed Seed, that reproduces the paper's Algorithm 1 exactly
+// (DESIGN.md §5). Parallelism lives across campaigns, not inside one:
+// the fleet orchestrator (internal/campaign) steps many campaigns at
+// once.
 //
-//   - Workers <= 1 runs the serial engine (serial.go), which is
-//     bit-for-bit deterministic under a fixed Seed and reproduces the
-//     paper's Algorithm 1 exactly.
-//   - Workers > 1 runs the speculative pipeline engine: the same
-//     serial trajectory on one goroutine, with Workers-1 speculative
-//     workers (executor.go) prefetching upcoming executions through a
-//     consume-once memo (scheduler.go). Results are bit-identical to
-//     the serial engine under the same Seed; only wall-clock changes.
-//
-// A third knob, Config.MinePhase, layers the paper's §7.4 proposal on
-// either engine (hybrid.go, DESIGN.md §7): grammar mining over the
-// valid corpus, generation of longer candidates, validation through
-// the same engine, and feedback of accepted inputs into the miner.
+// Config.MinePhase layers the paper's §7.4 proposal on that loop
+// (hybrid.go, DESIGN.md §7): grammar mining over the valid corpus,
+// generation of longer candidates, validation through the same loop,
+// and feedback of accepted inputs into the miner.
 package core
 
 import (
 	"math"
 	"math/rand"
-	"sync/atomic"
 	"time"
 
 	"pfuzzer/internal/mine"
@@ -78,11 +71,11 @@ type Config struct {
 	// campaign resumes its deadline clock where the snapshot left it.
 	Deadline time.Duration
 	// Events, if non-nil, receives the campaign's typed event stream:
-	// every emitted valid input (EventValid), every serial-engine
-	// queue pop (EventPop), and every hybrid phase switch
-	// (EventPhase). With Workers > 1 events are delivered from the
-	// scheduler goroutine only, so the sink needs no synchronization
-	// of its own.
+	// every emitted valid input (EventValid), every queue pop
+	// (EventPop), every hybrid phase switch (EventPhase) and the
+	// cache counters once per Step (EventCache). Events are delivered
+	// from the goroutine that steps the campaign, so the sink needs no
+	// synchronization of its own.
 	Events func(Event)
 
 	// Cache controls the prefix-decided execution cache
@@ -103,52 +96,16 @@ type Config struct {
 	// CacheOn keeps it for the whole campaign; CacheOff disables it.
 	Cache CacheMode
 
-	// Workers sets the engine's total concurrency. 0 or 1 selects the
-	// serial engine; N > 1 runs the same trajectory plus N-1
-	// speculative workers that prefetch upcoming executions, so the
-	// campaign's result — corpus, execution indices, cache counters,
-	// fingerprint — is bit-for-bit identical to Workers <= 1 under the
-	// same Seed, at lower wall-clock (DESIGN.md §11). The subject's
-	// Run method must be safe for concurrent calls (every built-in
-	// subject is a stateless value, so it is).
-	Workers int
-	// BatchSize sets how many top-of-queue candidates each board
-	// publish announces to the speculative workers, on top of the
-	// always-announced pending extension (0 = auto-tune from the
-	// observed execution latency; see batchSize). It shapes wall-clock
-	// only — results are bit-identical across every value — and is
-	// inert on the serial engine.
-	BatchSize int
-	// SpecDepth sets how many serial-loop iterations the trajectory's
-	// shadow simulator (shadow.go) rolls forward per board publish,
-	// announcing the predicted future executions — next pops' random
-	// extensions, restarts — to the speculative workers on top of the
-	// literal announcements. 0 = default lookahead, negative = off
-	// (the plain one-iteration-ahead pipeline), positive = that many
-	// iterations. Like BatchSize it shapes wall-clock only — results
-	// are bit-identical across every value (a misprediction is an
-	// announcement nobody consumes) — and is inert on the serial
-	// engine.
-	SpecDepth int
-	// Shards is retained for snapshot compatibility with the retired
-	// sharded-queue engine; the speculative engine runs the exact
-	// serial queue and ignores it.
-	Shards int
-	// Generation is retained for snapshot compatibility with the
-	// retired outcome-merging scheduler; the speculative engine
-	// re-scores exactly where the serial engine does and ignores it.
-	Generation int
-
 	// MinePhase enables the hybrid two-phase campaign (DESIGN.md §7,
 	// the paper's §7.4 proposal): after parser-directed exploration —
 	// or interleaved with it on the MineCadence — the engine mines a
 	// token-bigram grammar from the emitted valid corpus, generates
 	// batches of longer candidates, validates them through the same
-	// engine (serial loop or executor pool), and feeds accepted
-	// inputs back into both the result and the miner. With MinePhase
-	// set, accepted inputs strictly longer than any valid so far are
-	// emitted even without new block coverage: depth, not coverage
-	// novelty, is what the mining phase exists to buy.
+	// loop, and feeds accepted inputs back into both the result and
+	// the miner. With MinePhase set, accepted inputs strictly longer
+	// than any valid so far are emitted even without new block
+	// coverage: depth, not coverage novelty, is what the mining phase
+	// exists to buy.
 	MinePhase bool
 	// MineBudget is the number of executions reserved for validating
 	// mined candidates (0 = MaxExecs/4). The remainder of MaxExecs
@@ -222,10 +179,8 @@ type Result struct {
 	// execution layer: subject runs, fact distillation, and — when
 	// enabled — the prefix-decided cache's lookups and inserts. It
 	// isolates the layer Config.Cache optimizes from the engine's
-	// search bookkeeping (queue, scoring, dedup), which cmd/bench
-	// reports as the two throughput levels execs/sec(campaign) and
-	// execs/sec(exec layer). With Workers > 1 it sums the per-executor
-	// times, so it can exceed Elapsed.
+	// search bookkeeping (queue, scoring, dedup), which perfbench
+	// reports as the exec-layer and search shares of each execution.
 	ExecElapsed time.Duration
 
 	// CacheHits and CacheMisses count executions served from the
@@ -241,15 +196,6 @@ type Result struct {
 	CacheHits    int
 	CacheMisses  int
 	CacheRetired bool
-
-	// SpecExecs counts subject executions run by speculative workers
-	// (Workers > 1), SpecHits how many of those the trajectory
-	// actually consumed; the difference is mispredicted speculation.
-	// Pure diagnostics, like the timing fields: they depend on
-	// scheduling, so Fingerprint ignores them and they are not
-	// carried by snapshots.
-	SpecExecs int
-	SpecHits  int
 }
 
 // CacheHitRate returns the fraction of executions served from the
@@ -294,24 +240,14 @@ type candidate struct {
 // probe pass per parent; the computed values are bit-for-bit the ones
 // the per-candidate recomputation produced, so pop order and the
 // golden sequences are unchanged.
-//
-// The memo fields are atomics because the queue re-scoring pass may
-// partition across goroutines (pqueue.ReorderWith): siblings sharing
-// one parentFacts can land in different partitions, whose racing
-// recomputations write byte-identical values — vbrGen, vBr and the
-// path table are all frozen during the pass — so the atomics exist to
-// make those benign races clean under the race detector, not to
-// coordinate anything. covNew is written before covGen, so any
-// goroutine observing the fresh generation stamp reads the fresh
-// count.
 type parentFacts struct {
 	blks  []uint32 // parent's trimmed covered blocks
 	stack float64  // parent's avg stack depth at last two comparisons
 	path  uint64   // parent's path hash
 
-	covGen atomic.Uint64       // vbrGen the coverage memo was computed at
-	covNew atomic.Int64        // memo: blocks in blks not yet covered by valids
-	cnt    atomic.Pointer[int] // path's live execution counter (lazy; see pathCnt)
+	covGen uint64 // vbrGen the coverage memo was computed at
+	covNew int    // memo: blocks in blks not yet covered by valids
+	cnt    *int   // path's live execution counter (lazy; see pathCnt)
 }
 
 // Fuzzer is one parser-directed fuzzing campaign over a subject.
@@ -320,7 +256,7 @@ type Fuzzer struct {
 	prog         subject.Program
 	rng          *rand.Rand
 	cs           *countedSource             // rng's draw-counting source (snapshot/restore)
-	sink         trace.Sink                 // serial engine's reusable trace buffers
+	sink         trace.Sink                 // the engine's reusable trace buffers
 	cache        *pcache.Cache[cachedFacts] // prefix-decided execution cache (nil = off)
 	cacheCheckAt int                        // next adaptive-retirement milestone (maybeRetireCache)
 	hint         extHint                    // candidate→extension lookup carry-over (cachedExec)
@@ -330,8 +266,6 @@ type Fuzzer struct {
 	vbrGen uint64   // bumped on every emitted valid (parentFacts.covGen)
 
 	queue     pqueue.Queue[*candidate]
-	spec      *specPool           // speculation pool, live only inside a Workers>1 phase
-	execEWMA  float64             // EWMA of real execution latency in ns (batchSize auto-tune)
 	seen      map[string]struct{} // inputs ever enqueued or run
 	pathSeen  map[uint64]*int     // executions per path hash (pointer-valued so parentFacts can alias the counters)
 	validSeen map[string]struct{}
@@ -339,32 +273,27 @@ type Fuzzer struct {
 	res        Result
 	clock      stepclock.Clock // active stepping time (Result.Elapsed, Deadline)
 	curParents int             // substitution depth of the input being processed
-	curMineGen int             // mined lineage of the input being processed (serial engine)
+	curMineGen int             // mined lineage of the input being processed
 
 	// Campaign lifecycle. A Fuzzer runs exactly one campaign: Run
 	// panics on reuse (ran). Internally a campaign is one or more
 	// *phases* — the hybrid engine alternates exploration and mining
-	// bursts — so the engines are resumable: began marks one-time
+	// bursts — so the engine is resumable: began marks one-time
 	// initialization, execCap is the current phase's execution bound,
-	// and the serial loop's cursor survives between phases.
+	// and the loop's cursor survives between phases.
 	ran          bool
 	began        bool
 	execCap      int
-	phases       int          // parallel phases run so far (executor RNG streams)
 	longestValid int          // length of the longest emitted valid input
 	miningActive bool         // current phase is a mining burst (hybrid only)
 	hyb          *hybridState // hybrid phase driver (nil until first hybrid step)
 
-	// Serial engine's resumable loop cursor.
+	// The loop's resumable cursor.
 	sStarted  bool
 	sInput    []byte     // input to process next
 	sExt      []byte     // its random extension, drawn at pop time
 	sCur      *candidate // candidate sInput was popped as (nil = restart)
-	sCurScore float64    // score sCur was popped at (shadow re-enqueue base)
-
-	// Shadow-trajectory speculation state (shadow.go); trajectory-only,
-	// lazily built, never campaign-visible.
-	shadow *shadowDraws
+	sCurScore float64    // score sCur was popped at (carried by snapshots)
 }
 
 // New prepares a fuzzer for prog. A Fuzzer is single-campaign: Run
@@ -389,17 +318,15 @@ func New(prog subject.Program, cfg Config) *Fuzzer {
 }
 
 // Run executes the campaign and returns its result. With
-// Config.Workers > 1 the concurrent engine runs; otherwise the serial
-// engine does. With Config.MinePhase the hybrid phase driver
-// (hybrid.go) alternates parser-directed exploration with
-// grammar-mining bursts on either engine.
+// Config.MinePhase the hybrid phase driver (hybrid.go) alternates
+// parser-directed exploration with grammar-mining bursts.
 //
 // Run is implemented as one maximal Step of the campaign's engine;
 // the step-driven surface behind it is the Campaign type
 // (campaign.go), which the fleet orchestrator and the persistence
-// layer consume. Stepping in smaller slices is execution-equivalent
-// for the serial engine, so Run stays bit-identical to the
-// pre-refactor engines (golden_test.go).
+// layer consume. Stepping in smaller slices is execution-equivalent,
+// so Run and any slicing of it emit the golden sequences
+// (golden_test.go).
 //
 // Run panics if called a second time: a Fuzzer holds one campaign's
 // state (dedup sets, coverage, execution counts), and continuing on
@@ -418,12 +345,11 @@ func (f *Fuzzer) Run() *Result {
 	return f.finish()
 }
 
-// step advances the campaign by up to n executions on the configured
-// engine and reports how many were actually spent and whether the
-// campaign can still make progress. It is the one engine entry point:
-// Run, Campaign.Step and the hybrid phase driver all go through it,
-// so the serial, parallel and hybrid engines expose identical
-// resumable behaviour.
+// step advances the campaign by up to n executions and reports how
+// many were actually spent and whether the campaign can still make
+// progress. It is the one engine entry point: Run, Campaign.Step and
+// the hybrid phase driver all go through it, so plain and hybrid
+// campaigns expose identical resumable behaviour.
 func (f *Fuzzer) step(n int) (spent int, more bool) {
 	if n <= 0 || f.campaignOver() {
 		return 0, !f.campaignOver()
@@ -440,7 +366,7 @@ func (f *Fuzzer) step(n int) (spent int, more bool) {
 		}
 		if f.res.Execs < cap {
 			f.execCap = cap
-			f.runEngine()
+			f.runSerial()
 		}
 	}
 	f.res.Elapsed = f.clock.StepEnd()
@@ -467,17 +393,8 @@ func (f *Fuzzer) campaignOver() bool {
 	return false
 }
 
-// runEngine runs one phase on the configured engine up to execCap.
-func (f *Fuzzer) runEngine() {
-	if f.cfg.Workers > 1 {
-		f.runParallel()
-	} else {
-		f.runSerial()
-	}
-}
-
-// begin performs the once-per-campaign initialization shared by both
-// engines; subsequent phases resume on the same state.
+// begin performs the once-per-campaign initialization; subsequent
+// phases resume on the same state.
 func (f *Fuzzer) begin() {
 	if f.began {
 		return
@@ -644,7 +561,7 @@ func (f *Fuzzer) bumpPath(h uint64) { *f.pathCnt(h)++ }
 
 // pathPenaltyTab precomputes min(log2(1+n), 8) for small path counts.
 // score calls it once per candidate per re-scoring pass — the single
-// hottest arithmetic in the serial engine's Reorder — and the penalty
+// hottest arithmetic in the engine's Reorder — and the penalty
 // saturates at 8 from n = 255 on (log2(256) == 8), so a 255-entry
 // table replays math.Log2 bit for bit.
 var pathPenaltyTab = func() [255]float64 {
@@ -681,17 +598,17 @@ func (f *Fuzzer) score(c *candidate) float64 {
 	p := c.parent
 	newBlocks := 0
 	if p != nil {
-		if p.covGen.Load() != f.vbrGen {
+		if p.covGen != f.vbrGen {
 			n := 0
 			for _, id := range p.blks {
 				if !f.vBr.has(id) {
 					n++
 				}
 			}
-			p.covNew.Store(int64(n))
-			p.covGen.Store(f.vbrGen)
+			p.covNew = n
+			p.covGen = f.vbrGen
 		}
-		newBlocks = int(p.covNew.Load())
+		newBlocks = p.covNew
 	}
 	s := float64(newBlocks)
 	if f.cfg.CoverageOnly {
@@ -716,16 +633,10 @@ func (f *Fuzzer) score(c *candidate) float64 {
 		// pulls keyword substitutions forward — children of hot paths
 		// (every identifier run shares one path) must stay reachable.
 		if p != nil {
-			cp := p.cnt.Load()
-			if cp == nil {
-				// Never a map insert here: a parent's path was always
-				// executed (bumpPath), so pathCnt finds the counter —
-				// which keeps this read-only under a partitioned
-				// re-scoring pass.
-				cp = f.pathCnt(p.path)
-				p.cnt.Store(cp)
+			if p.cnt == nil {
+				p.cnt = f.pathCnt(p.path)
 			}
-			s -= pathPenalty(*cp)
+			s -= pathPenalty(*p.cnt)
 		} else if pz := f.pathSeen[0]; pz != nil {
 			// Restart and mined candidates carry no parent path; the
 			// pre-shortcut heuristic looked up hash 0, which no real

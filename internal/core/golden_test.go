@@ -12,8 +12,8 @@ import (
 
 // goldenCampaigns pins the serial engine's exact output: the values
 // were captured from the pre-refactor monolithic Fuzzer.Run at commit
-// fbdac0b with Seed=42, MaxExecs=3000. The scheduler/executor split
-// must keep Workers<=1 bit-for-bit identical to that engine so the
+// fbdac0b with Seed=42, MaxExecs=3000. Every later change to the
+// engine must stay bit-for-bit identical to it so the
 // paper-reproduction benchmarks stay valid; if a deliberate algorithm
 // change breaks these values, re-capture them and say so in the
 // commit message.
@@ -35,9 +35,9 @@ var goldenCampaigns = []struct {
 
 // goldenRun executes one pinned campaign and returns the emitted
 // inputs plus the FNV-1a hash of the full NUL-joined sequence.
-func goldenRun(t *testing.T, prog subject.Program, workers int) (*Result, uint64) {
+func goldenRun(t *testing.T, prog subject.Program) (*Result, uint64) {
 	t.Helper()
-	res := New(prog, Config{Seed: 42, MaxExecs: 3000, Workers: workers}).Run()
+	res := New(prog, Config{Seed: 42, MaxExecs: 3000}).Run()
 	h := fnv.New64a()
 	for _, v := range res.Valids {
 		h.Write(v.Input)
@@ -46,12 +46,11 @@ func goldenRun(t *testing.T, prog subject.Program, workers int) (*Result, uint64
 	return res, h.Sum64()
 }
 
-// TestGoldenSerialSequence asserts that the default (Workers=0) engine
-// reproduces the pre-refactor golden sequences exactly.
+// TestGoldenSerialSequence asserts that the engine reproduces the pre-refactor golden sequences exactly.
 func TestGoldenSerialSequence(t *testing.T) {
 	for _, g := range goldenCampaigns {
 		t.Run(g.name, func(t *testing.T) {
-			res, hash := goldenRun(t, g.prog(), 0)
+			res, hash := goldenRun(t, g.prog())
 			if len(res.Valids) != g.valids || res.Execs != g.execs {
 				t.Errorf("valids=%d execs=%d, golden valids=%d execs=%d",
 					len(res.Valids), res.Execs, g.valids, g.execs)
@@ -66,19 +65,6 @@ func TestGoldenSerialSequence(t *testing.T) {
 			}
 			if hash != g.hash {
 				t.Errorf("sequence hash = %#x, golden %#x", hash, g.hash)
-			}
-		})
-	}
-}
-
-// TestGoldenWorkersOne asserts Workers=1 selects the same serial
-// engine: its output must be bit-identical to Workers=0.
-func TestGoldenWorkersOne(t *testing.T) {
-	for _, g := range goldenCampaigns {
-		t.Run(g.name, func(t *testing.T) {
-			_, hash := goldenRun(t, g.prog(), 1)
-			if hash != g.hash {
-				t.Errorf("Workers=1 sequence hash = %#x, golden %#x", hash, g.hash)
 			}
 		})
 	}

@@ -16,8 +16,7 @@ const mineRound = 2048
 // use the mined grammar for generating longer and more complex
 // sequences".
 //
-// The driver alternates two kinds of phase on the same engine (serial
-// loop or scheduler/executor pool, per Config.Workers):
+// The driver alternates two kinds of phase on the same engine loop:
 //
 //   - exploration: plain parser-directed fuzzing, in bursts of
 //     MineCadence executions (default: the whole exploration budget
@@ -25,9 +24,8 @@ const mineRound = 2048
 //   - mining: every valid input emitted so far is folded into an
 //     incremental token-bigram grammar (mine.Grammar.Add), a batch of
 //     deduplicated candidates is generated from it and enqueued as
-//     high-priority mined candidates, and the engine validates them —
-//     through the very same executor pool and sharded queue, so
-//     generated-candidate validation scales with Workers.
+//     high-priority mined candidates, and the engine validates them
+//     through the very same loop and queue.
 //
 // Accepted candidates feed back twice: into the result (via the
 // hybrid emission rule, see recordLength) and into the miner, so the
@@ -42,8 +40,7 @@ const mineRound = 2048
 // on hybridState, phase boundaries are derived from execution counts
 // alone, and the grammar is reconstructible from the valid corpus —
 // so slicing a campaign into arbitrary Steps, or restoring it in a
-// fresh process, reproduces the uninterrupted run exactly on the
-// serial engine.
+// fresh process, reproduces the uninterrupted run exactly.
 
 // Driver stages. hsLoopTop..hsMineRound mirror the §7.4 alternation
 // loop; hsFinal is the rounding-remainder sweep, hsDone terminal.
@@ -184,7 +181,7 @@ func (f *Fuzzer) stepHybrid(n int) {
 		before := f.res.Execs
 		f.setMining(h.phaseMining)
 		f.execCap = cap
-		f.runEngine()
+		f.runSerial()
 		if f.res.Execs == before {
 			// No progress despite headroom: defensive guard against a
 			// spinning engine. The phase stays active for a retry.
@@ -319,7 +316,7 @@ func (f *Fuzzer) setMining(active bool) {
 		return
 	}
 	f.miningActive = active
-	f.reorderQueue()
+	f.queue.Reorder(f.score)
 	f.emit(Event{Kind: EventPhase, Mining: active, Execs: f.res.Execs})
 }
 

@@ -9,14 +9,6 @@ import "time"
 // (golden_test.go pins the emitted sequence), which keeps the
 // paper-reproduction benchmarks valid.
 //
-// This same loop is the concurrent engine: with Workers > 1
-// (scheduler.go) the loop body additionally announces upcoming
-// executions on the speculation board (publishSpec, a no-op here
-// otherwise) and execFacts consumes speculative results through the
-// memo — both of which change where executions physically run, never
-// what the trajectory computes, so the two engines share one code
-// path and one behaviour.
-//
 // The loop cursor (sInput, sExt, sCur) lives on the Fuzzer so the
 // engine is resumable: the hybrid phase driver (hybrid.go) runs it in
 // bursts bounded by execCap, and a later burst continues exactly
@@ -35,7 +27,6 @@ func (f *Fuzzer) runSerial() {
 	}
 
 	for !f.done() {
-		f.publishSpec()
 		if _, ok := f.checkRun(f.sInput, false); !ok {
 			if rfE, okE := f.checkRun(f.sExt, true); !okE {
 				f.addChildrenSerial(rfE)
@@ -70,9 +61,7 @@ func (f *Fuzzer) runSerial() {
 			}
 		}
 		// Exact-size allocation (the double-append idiom allocated twice
-		// via growth). The buffer must be fresh, not reused: with the
-		// speculation pool live, workers still hold the previous board's
-		// task bytes.
+		// via growth).
 		ext := make([]byte, len(f.sInput)+1)
 		copy(ext, f.sInput)
 		ext[len(f.sInput)] = f.randChar()
@@ -82,30 +71,13 @@ func (f *Fuzzer) runSerial() {
 
 // execFacts runs input once against the subject — or replays its
 // memoised outcome when the prefix-decided cache already holds it —
-// reusing the serial engine's trace sink, and distills the record into
+// reusing the engine's trace sink, and distills the record into
 // run facts; deriving marks runs whose comparisons will seed children.
 func (f *Fuzzer) execFacts(input []byte, deriving bool) *runFacts {
 	f.res.Execs++
 	t0 := time.Now()
-	rf, hit, specNS := cachedExec(f.cache, f.prog, input, deriving, &f.sink, f.spec, &f.hint, &f.rfScratch)
-	el := time.Since(t0)
-	// A speculatively executed input charges the worker's wall time,
-	// so ExecElapsed keeps meaning "time spent executing subjects"
-	// (summed across goroutines) rather than collapsing to the memo
-	// probe. The latency EWMA feeding the BatchSize auto-tune tracks
-	// real executions only — cache hits would drag it toward zero.
-	f.res.ExecElapsed += el + time.Duration(specNS)
-	if !hit {
-		ns := float64(el.Nanoseconds())
-		if specNS > 0 {
-			ns = float64(specNS)
-		}
-		if f.execEWMA == 0 {
-			f.execEWMA = ns
-		} else {
-			f.execEWMA += (ns - f.execEWMA) / 8
-		}
-	}
+	rf, hit := cachedExec(f.cache, f.prog, input, deriving, &f.sink, &f.hint, &f.rfScratch)
+	f.res.ExecElapsed += time.Since(t0)
 	if f.cache != nil {
 		if hit {
 			f.res.CacheHits++
@@ -131,7 +103,7 @@ func (f *Fuzzer) checkRun(input []byte, deriving bool) (*runFacts, bool) {
 		// Re-score the queue against the grown vBr: "all remaining
 		// inputs in the queue have to be re-evaluated in terms of
 		// coverage" (§3.2).
-		f.reorderQueue()
+		f.queue.Reorder(f.score)
 		f.addChildrenSerial(rf)
 		return rf, true
 	}
@@ -146,5 +118,5 @@ func (f *Fuzzer) addChildrenSerial(rf *runFacts) {
 	f.addChildren(rf, f.curParents+1, f.curMineGen, func(cd *candidate) {
 		f.queue.Push(cd, f.score(cd))
 	})
-	f.pruneIfOvergrown(&f.queue)
+	f.pruneIfOvergrown()
 }

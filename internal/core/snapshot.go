@@ -38,6 +38,12 @@ const snapshotVersion = 2
 // so resuming a campaign needs no re-specification of its knobs. The
 // function-valued fields (Events, MineLexer) cannot be serialized and
 // are re-supplied by Restore's cfg argument.
+//
+// Workers, BatchSize, SpecDepth, Shards and Generation are knobs of
+// retired in-campaign parallel engines. They never changed what a
+// campaign computes, so snapshots that carry them decode, keep them
+// (the header re-encodes to its own bytes) and restore onto the one
+// serial engine; nothing writes them any more.
 type SavedConfig struct {
 	Seed          int64    `json:"seed"`
 	MaxExecs      int      `json:"max_execs"`
@@ -72,8 +78,7 @@ func savedConfig(c *Config) SavedConfig {
 		Seed: c.Seed, MaxExecs: c.MaxExecs, MaxValids: c.MaxValids,
 		MaxLen: c.MaxLen, MaxQueue: c.MaxQueue, Charset: c.Charset,
 		DeadlineNS: int64(c.Deadline), Cache: int(c.Cache),
-		Workers: c.Workers, BatchSize: c.BatchSize, SpecDepth: c.SpecDepth, Shards: c.Shards,
-		Generation: c.Generation, MinePhase: c.MinePhase, MineBudget: c.MineBudget,
+		MinePhase: c.MinePhase, MineBudget: c.MineBudget,
 		MineMaxTokens: c.MineMaxTokens, MineCadence: c.MineCadence, MineSeeds: c.MineSeeds,
 		NoLengthTerm: c.NoLengthTerm, NoReplacementBonus: c.NoReplacementBonus,
 		NoStackTerm: c.NoStackTerm, NoParentsTerm: c.NoParentsTerm,
@@ -86,8 +91,7 @@ func (sc *SavedConfig) config() Config {
 		Seed: sc.Seed, MaxExecs: sc.MaxExecs, MaxValids: sc.MaxValids,
 		MaxLen: sc.MaxLen, MaxQueue: sc.MaxQueue, Charset: sc.Charset,
 		Deadline: time.Duration(sc.DeadlineNS), Cache: CacheMode(sc.Cache),
-		Workers: sc.Workers, BatchSize: sc.BatchSize, SpecDepth: sc.SpecDepth, Shards: sc.Shards,
-		Generation: sc.Generation, MinePhase: sc.MinePhase, MineBudget: sc.MineBudget,
+		MinePhase: sc.MinePhase, MineBudget: sc.MineBudget,
 		MineMaxTokens: sc.MineMaxTokens, MineCadence: sc.MineCadence, MineSeeds: sc.MineSeeds,
 		NoLengthTerm: sc.NoLengthTerm, NoReplacementBonus: sc.NoReplacementBonus,
 		NoStackTerm: sc.NoStackTerm, NoParentsTerm: sc.NoParentsTerm,
@@ -148,12 +152,9 @@ type SnapHybrid struct {
 }
 
 // Snapshot is a serializable image of a campaign between Steps, and
-// it is exact on every engine: a campaign restored from a snapshot
-// continues with the same queue, dedup sets, cursor and RNG stream
-// position, so the combined run is bit-identical to an uninterrupted
-// one. With Workers > 1 the speculative workers hold no campaign
-// state between Steps (the memo and board are rebuilt per phase), so
-// the trajectory state captured here is the whole campaign.
+// it is exact: a campaign restored from a snapshot continues with the
+// same queue, dedup sets, cursor and RNG stream position, so the
+// combined run is bit-identical to an uninterrupted one.
 //
 // The tagged scalar fields form the JSON header of the binary
 // encoding; the bulk state (untagged) is written in its binary
@@ -174,12 +175,12 @@ type Snapshot struct {
 	ElapsedNS     int64  `json:"elapsed_ns"`
 	ExecElapsedNS int64  `json:"exec_elapsed_ns,omitempty"`
 	RNGDraws      uint64 `json:"rng_draws"`
-	Phases        int    `json:"phases,omitempty"`
+	Phases        int    `json:"phases,omitempty"` // retired; always 0 when written, ignored on restore
 	Began         bool   `json:"began"`
 	LongestValid  int    `json:"longest_valid,omitempty"`
 	MiningActive  bool   `json:"mining_active,omitempty"`
 
-	// Serial engine loop cursor.
+	// The engine loop's cursor.
 	SStarted   bool   `json:"s_started"`
 	SInput     []byte `json:"s_input,omitempty"`
 	SExt       []byte `json:"s_ext,omitempty"`
@@ -249,9 +250,7 @@ func sortedIDs(m map[uint32]bool) []uint32 {
 }
 
 // Snapshot captures the campaign's full state. It must only be called
-// between Steps (never concurrently with one); the parallel engine
-// has no live executors then, so all state is on the scheduler side.
-// Map-backed sets are emitted sorted so snapshot bytes are stable.
+// between Steps (never concurrently with one). Map-backed sets are emitted sorted so snapshot bytes are stable.
 func (c *Campaign) Snapshot() *Snapshot {
 	f := c.f
 	s := &Snapshot{
@@ -265,7 +264,6 @@ func (c *Campaign) Snapshot() *Snapshot {
 		ExecElapsedNS: int64(f.res.ExecElapsed),
 		ElapsedNS:     int64(f.clock.Active()),
 		RNGDraws:      f.cs.draws,
-		Phases:        f.phases,
 		Began:         f.began,
 		LongestValid:  f.longestValid,
 		MiningActive:  f.miningActive,
@@ -346,9 +344,8 @@ func (c *Campaign) Snapshot() *Snapshot {
 	}
 	slices.SortFunc(s.Seen, bytes.Compare)
 	if f.sCur != nil {
-		// The popped score rides along so a restored campaign's shadow
-		// simulator re-enqueues the cursor from the same base (it never
-		// affects what the campaign computes, only prediction quality).
+		// The popped score rides along so the layout keeps its score
+		// field; it never affects what the campaign computes.
 		sc := snapCand(f.sCur, f.sCurScore)
 		s.SCur = &sc
 	}
@@ -466,7 +463,7 @@ func (s *Snapshot) validate() error {
 // time, which the snapshot carries — a resumed campaign continues its
 // clock, it does not restart it. Everything else in cfg is ignored.
 //
-// On the serial engine the restored campaign is exact: its RNG stream
+// The restored campaign is exact: its RNG stream
 // is fast-forwarded to the saved draw position and its queue, dedup
 // sets and loop cursor are rebuilt in order, so stepping it produces
 // the same executions an uninterrupted run would from that point.
@@ -550,7 +547,6 @@ func Restore(prog subject.Program, cfg Config, s *Snapshot) (*Campaign, error) {
 		n := pc.Count
 		f.pathSeen[pc.Hash] = &n
 	}
-	f.phases = s.Phases
 	f.longestValid = s.LongestValid
 	f.miningActive = s.MiningActive
 	f.sStarted = s.SStarted

@@ -144,6 +144,51 @@ func TestSnapshotV2Stable(t *testing.T) {
 	}
 }
 
+// TestSnapshotRetiredKnobsResume pins compatibility with snapshots
+// cut by the retired in-campaign parallel engine: testdata's
+// v2-workers.bin is the plain fixture campaign run with Workers 4,
+// BatchSize 8 and SpecDepth 16, cut at 40%. It decodes with those
+// knobs in its header, re-encodes to its own bytes, holds exactly the
+// state of the serial campaign's cut, and resumes to the serial
+// campaign's fingerprint.
+func TestSnapshotRetiredKnobsResume(t *testing.T) {
+	fx := snapFixtures[0]
+	blob, err := os.ReadFile(filepath.Join("testdata", "snapshot", "v2-workers.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := UnmarshalSnapshot(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := snap.Config; c.Workers != 4 || c.BatchSize != 8 || c.SpecDepth != 16 {
+		t.Fatalf("header knobs workers=%d batch_size=%d spec_depth=%d, want 4, 8, 16", c.Workers, c.BatchSize, c.SpecDepth)
+	}
+	again, err := snap.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, blob) {
+		t.Fatal("decoded fixture does not re-encode to its own bytes")
+	}
+	live := fx.cut().Snapshot()
+	live.Config.Workers, live.Config.BatchSize, live.Config.SpecDepth = 4, 8, 16
+	live.ElapsedNS, live.ExecElapsedNS = snap.ElapsedNS, snap.ExecElapsedNS
+	if fresh, err := live.Marshal(); err != nil || !bytes.Equal(fresh, blob) {
+		t.Errorf("the serial cut, with the same header knobs, does not encode to the fixture's bytes (%v)", err)
+	}
+	c, err := Restore(expr.New(), Config{}, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := New(expr.New(), fx.cfg).Run()
+	got := stepOut(t, c, 300)
+	resultsEqual(t, got, want, "resumed")
+	if got.Fingerprint() != want.Fingerprint() {
+		t.Errorf("fingerprint %#x, serial %#x", got.Fingerprint(), want.Fingerprint())
+	}
+}
+
 // TestSnapshotSharesParents: the parent table keeps one entry per
 // parent run, and Restore rebuilds one shared parentFacts per entry,
 // so former siblings share blocks and score memo again.
@@ -287,7 +332,9 @@ func TestUnmarshalRejectsMalformed(t *testing.T) {
 
 // FuzzSnapshotDecode feeds arbitrary bytes to UnmarshalSnapshot and
 // Restore (go test -fuzz, seeds: the checked-in version 1 and 2
-// snapshots of a plain and a hybrid campaign plus malformed variants).
+// snapshots of a plain and a hybrid campaign, malformed variants, and
+// the version 2 cut whose header carries the retired parallel-engine
+// knobs).
 // Neither may panic or hang, and every version 2 blob the decoder
 // accepts must re-encode to the same bytes.
 func FuzzSnapshotDecode(f *testing.F) {
@@ -301,6 +348,11 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add([]byte(snapMagic))
 	f.Add([]byte(`{"version":1}`))
 	f.Add([]byte{})
+	workers, err := os.ReadFile(filepath.Join("testdata", "snapshot", "v2-workers.bin"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(workers)
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		s, err := UnmarshalSnapshot(b)

@@ -96,7 +96,7 @@ type Store struct {
 
 	valids []Valid
 	seen   map[string]struct{} // dedup: the journal is the corpus of record
-	snap   []byte              // latest snapshot payload, decompressed
+	snap   []byte              // snapshot payload Open recovered, until AppendSnapshot
 
 	truncated int // bytes of corrupt tail dropped by Open
 }
@@ -357,7 +357,7 @@ func (s *Store) AppendSnapshot(blob []byte) error {
 	if err := syncDir(snapPath); err != nil {
 		return err
 	}
-	s.snap = append([]byte(nil), blob...)
+	s.snap = nil // superseded; the store keeps no copy of what it publishes
 	return nil
 }
 
@@ -429,8 +429,11 @@ func (s *Store) ValidInputs() [][]byte {
 	return out
 }
 
-// Snapshot returns the latest intact snapshot blob, or nil if none
-// was published.
+// Snapshot returns the snapshot blob Open recovered from the sidecar,
+// or nil if there was none intact. It is what a resume decodes, read
+// right after Open: the store keeps no copy of the blobs it publishes,
+// so the first AppendSnapshot releases it and Snapshot returns nil
+// from then on. Reopen the journal to read the latest published one.
 func (s *Store) Snapshot() []byte { return s.snap }
 
 // TruncatedBytes reports how many bytes of corrupt tail Open dropped

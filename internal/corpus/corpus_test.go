@@ -70,6 +70,41 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendSnapshotReleasesRecovered pins what Snapshot returns: the
+// blob Open recovered, until the first AppendSnapshot releases it.
+// The store keeps no copy of a published blob, so only a reopen reads
+// the new one back.
+func TestAppendSnapshotReleasesRecovered(t *testing.T) {
+	path := tempJournal(t)
+	s, err := Create(path, Meta{Subject: "expr"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendSnapshot([]byte(`{"execs":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	if s.Snapshot() != nil {
+		t.Errorf("store kept a copy of the blob it published: %q", s.Snapshot())
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if string(r.Snapshot()) != `{"execs":1}` {
+		t.Fatalf("Open recovered %q, want the published blob", r.Snapshot())
+	}
+	if err := r.AppendSnapshot([]byte(`{"execs":2}`)); err != nil {
+		t.Fatal(err)
+	}
+	if r.Snapshot() != nil {
+		t.Errorf("AppendSnapshot did not release the recovered blob: %q", r.Snapshot())
+	}
+}
+
 // TestAppendValidDedups: the journal is the corpus of record, so a
 // resumed campaign re-journaling the valids it re-discovers must not
 // duplicate them.

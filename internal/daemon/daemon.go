@@ -125,8 +125,6 @@ type Status struct {
 	CoverageBlocks int    `json:"coverage_blocks"`
 	CacheHits      int    `json:"cache_hits"`
 	CacheMisses    int    `json:"cache_misses"`
-	SpecExecs      int    `json:"spec_execs"`
-	SpecHits       int    `json:"spec_hits"`
 	ElapsedMS      int64  `json:"elapsed_ms"` // active engine time, the execs/sec denominator
 	DroppedEvents  int    `json:"dropped_events,omitempty"`
 	Error          string `json:"error,omitempty"`
@@ -303,6 +301,7 @@ func (s *Server) Submit(sub Submission) (Status, error) {
 	if sub.Tenant == "" {
 		sub.Tenant = "default"
 	}
+	sub.Workers = 0 // decoded and ignored; see Submission.Workers
 	entry, ok := registry.Get(sub.Subject)
 	if !ok {
 		return Status{}, fmt.Errorf("%w: %q", ErrUnknownSubject, sub.Subject)

@@ -91,7 +91,7 @@ func referenceValids(t *testing.T, sub Submission) [][]byte {
 	}
 	var valids [][]byte
 	cfg := core.Config{
-		Seed: sub.Seed, MaxExecs: sub.MaxExecs, Workers: sub.Workers,
+		Seed: sub.Seed, MaxExecs: sub.MaxExecs,
 		MinePhase: sub.Mine, MineLexer: entry.Lexer,
 		Events: func(ev core.Event) {
 			if ev.Kind == core.EventValid {
@@ -467,6 +467,51 @@ func TestSubmitValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /healthz = %d", resp.StatusCode)
+	}
+}
+
+// TestSubmitIgnoresWorkers pins compatibility with clients of the
+// retired in-campaign parallel engine: a submission carrying
+// "workers" is accepted over HTTP (the API rejects unknown fields,
+// so dropping the field would turn those clients' requests into 400s)
+// and runs exactly the campaign the same submission without it runs.
+func TestSubmitIgnoresWorkers(t *testing.T) {
+	s := newTestServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	var fin [2]Status
+	for i, body := range []string{
+		`{"subject":"expr","seed":3,"execs":4000,"workers":4}`,
+		`{"subject":"expr","seed":3,"execs":4000}`,
+	} {
+		resp, err := http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST: %v", err)
+		}
+		var st Status
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusCreated {
+			t.Fatalf("submit %s = %d (%v)", body, resp.StatusCode, err)
+		}
+		fin[i] = waitState(t, s, st.ID, StateDone)
+	}
+	var corpora [2][][]byte
+	for i, st := range fin {
+		store, err := corpus.Open(filepath.Join(s.cfg.Root, st.ID, "corpus"))
+		if err != nil {
+			t.Fatalf("Open journal: %v", err)
+		}
+		corpora[i] = store.ValidInputs()
+		store.Close()
+		fin[i].ID, fin[i].ElapsedMS = "", 0
+	}
+	if fin[0] != fin[1] {
+		t.Errorf("status with workers %+v, without %+v", fin[0], fin[1])
+	}
+	if !sameCorpus(corpora[0], corpora[1]) {
+		t.Errorf("journal corpus with workers (%d valids) differs from without (%d)", len(corpora[0]), len(corpora[1]))
 	}
 }
 

@@ -99,7 +99,6 @@ func (r *run) settle(sp *Spec) {
 		Execs: sp.FinalExecs, Valids: sp.FinalValids, ElapsedMS: sp.FinalElapsedMS,
 		CoverageBlocks: sp.FinalCoverageBlocks,
 		CacheHits:      sp.FinalCacheHits, CacheMisses: sp.FinalCacheMisses,
-		SpecExecs: sp.FinalSpecExecs, SpecHits: sp.FinalSpecHits,
 		DroppedEvents: sp.FinalDroppedEvents,
 	}
 	r.mu.Lock()
@@ -175,7 +174,7 @@ func (s *Server) freshRun(sp *Spec, entry registry.Entry, ten *tenant, dir strin
 	}
 	r.store = store
 	cfg := core.Config{
-		Seed: sp.Seed, MaxExecs: sp.MaxExecs, Workers: sp.Workers,
+		Seed: sp.Seed, MaxExecs: sp.MaxExecs,
 		MinePhase: sp.Mine, MineLexer: entry.Lexer, Events: r.coreEvents,
 	}
 	r.camp = core.NewCampaign(entry.New(), cfg)
@@ -227,7 +226,7 @@ func (s *Server) resumeRun(sp *Spec) (*run, error) {
 		// collapses, so the corpus still converges to the uninterrupted
 		// run's.
 		cfg := core.Config{
-			Seed: sp.Seed, MaxExecs: sp.MaxExecs, Workers: sp.Workers,
+			Seed: sp.Seed, MaxExecs: sp.MaxExecs,
 			MinePhase: sp.Mine, MineLexer: entry.Lexer, Events: r.coreEvents,
 		}
 		r.camp = core.NewCampaign(entry.New(), cfg)
@@ -294,8 +293,6 @@ func (r *run) refreshLocked() {
 	r.st.CoverageBlocks = len(res.Coverage)
 	r.st.CacheHits = res.CacheHits
 	r.st.CacheMisses = res.CacheMisses
-	r.st.SpecExecs = res.SpecExecs
-	r.st.SpecHits = res.SpecHits
 	r.st.ElapsedMS = res.Elapsed.Milliseconds()
 	r.st.DroppedEvents = r.hub.droppedCount()
 }
@@ -344,7 +341,6 @@ func (r *run) retire(j *campaign.Job) {
 		FinalElapsedMS:      res.Elapsed.Milliseconds(),
 		FinalCoverageBlocks: len(res.Coverage),
 		FinalCacheHits:      res.CacheHits, FinalCacheMisses: res.CacheMisses,
-		FinalSpecExecs: res.SpecExecs, FinalSpecHits: res.SpecHits,
 		FinalDroppedEvents: r.hub.droppedCount(),
 	}
 	if werr := writeSpec(r.dir, sp); werr != nil {

@@ -78,8 +78,8 @@ func TestSettledStatusSurvivesRestart(t *testing.T) {
 }
 
 // TestOldFormatSpecLoadsSettled pins that a spec written before the
-// coverage, cache, speculation and dropped-event counters were
-// persisted still loads as a settled entry, those counters at 0.
+// coverage, cache and dropped-event counters were persisted still
+// loads as a settled entry, those counters at 0.
 func TestOldFormatSpecLoadsSettled(t *testing.T) {
 	root := t.TempDir()
 	dir := filepath.Join(root, "c000004")
@@ -102,6 +102,38 @@ func TestOldFormatSpecLoadsSettled(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("old-format status = %+v, want %+v", got, want)
+	}
+}
+
+// TestRetiredCounterSpecLoadsSettled loads a settled spec written by
+// a build with the in-campaign parallel engine (testdata: a
+// "workers":4 expr campaign): its workers field and its speculation
+// counters are ignored, and every other counter comes back.
+func TestRetiredCounterSpecLoadsSettled(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "c000001")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.ReadFile(filepath.Join("testdata", "spec-workers.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, specFile), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{Root: root})
+	got, ok := s.Campaign("c000001")
+	if !ok {
+		t.Fatalf("spec not loaded")
+	}
+	want := Status{
+		ID: "c000001", Tenant: "acme", Subject: "expr", State: StateDone,
+		Execs: 3001, MaxExecs: 3000, Valids: 5, CoverageBlocks: 13,
+		CacheHits: 1168, CacheMisses: 1833, ElapsedMS: 149,
+	}
+	if got != want {
+		t.Fatalf("status = %+v, want %+v", got, want)
 	}
 }
 
@@ -152,8 +184,11 @@ func TestSettledEnginesCollectable(t *testing.T) {
 }
 
 // FuzzSpecResume feeds arbitrary bytes to the daemon as a campaign's
-// spec.json on start-up. New must either fail or load the campaign as
-// running, settled or failed — never panic — and Close must return.
+// spec.json on start-up (seeds: running, settled and old-format
+// specs, one written with the retired workers field and speculation
+// counters, and malformed ones). New must either fail or load the
+// campaign as running, settled or failed — never panic — and Close
+// must return.
 func FuzzSpecResume(f *testing.F) {
 	sub := Submission{Tenant: "acme", Subject: "expr", Seed: 1, MaxExecs: 1000, SnapEvery: 500}
 	running, err := json.Marshal(&Spec{ID: "c000001", Submission: sub, State: StateRunning})
@@ -174,6 +209,13 @@ func FuzzSpecResume(f *testing.F) {
 		`"final_execs":1001,"final_valids":7,"final_elapsed_ms":12}`))
 	f.Add(settled[:len(settled)/2])
 	f.Add([]byte(`{"id":"c000001","subject":"expr","state":"paused","final_execs":5}`))
+	// A settled spec written with the retired workers field and
+	// speculation counters; it loads settled.
+	retired, err := os.ReadFile(filepath.Join("testdata", "spec-workers.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(retired)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		root := t.TempDir()

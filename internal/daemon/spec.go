@@ -27,13 +27,15 @@ type Submission struct {
 	// Subject is the registered subject to fuzz (required).
 	Subject string `json:"subject"`
 	// Seed seeds the campaign RNG (campaigns are deterministic under
-	// it at every worker count).
+	// it).
 	Seed int64 `json:"seed,omitempty"`
 	// MaxExecs is the campaign's execution budget (0 = the engine
 	// default, 100000).
 	MaxExecs int `json:"execs,omitempty"`
-	// Workers is the engine concurrency for this campaign (<= 1
-	// serial; higher counts are bit-identical, just faster).
+	// Workers is accepted and ignored: it selected the in-campaign
+	// concurrency of a retired engine, which never changed a
+	// campaign's result. Submissions and specs that carry it keep
+	// decoding (the API rejects unknown fields).
 	Workers int `json:"workers,omitempty"`
 	// Mine enables the hybrid grammar-mining campaign (§7.4).
 	Mine bool `json:"mine,omitempty"`
@@ -61,17 +63,16 @@ type Spec struct {
 	// The Final* fields record every counter a settled campaign's
 	// Status shows, so its table entry — after a restart too — is
 	// rebuilt from the spec alone, without reopening (and re-locking)
-	// its journal. Specs written before the coverage, cache,
-	// speculation and dropped-event counters were persisted decode
-	// with those at 0.
+	// its journal. Specs written before the coverage, cache and
+	// dropped-event counters were persisted decode with those at 0;
+	// the final_spec_execs/final_spec_hits counters of the retired
+	// speculative engine decode and are ignored.
 	FinalExecs          int   `json:"final_execs,omitempty"`
 	FinalValids         int   `json:"final_valids,omitempty"`
 	FinalElapsedMS      int64 `json:"final_elapsed_ms,omitempty"`
 	FinalCoverageBlocks int   `json:"final_coverage_blocks,omitempty"`
 	FinalCacheHits      int   `json:"final_cache_hits,omitempty"`
 	FinalCacheMisses    int   `json:"final_cache_misses,omitempty"`
-	FinalSpecExecs      int   `json:"final_spec_execs,omitempty"`
-	FinalSpecHits       int   `json:"final_spec_hits,omitempty"`
 	FinalDroppedEvents  int   `json:"final_dropped_events,omitempty"`
 }
 

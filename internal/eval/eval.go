@@ -34,9 +34,9 @@ import (
 type Tool string
 
 // The compared tools. PFuzzerMine is the §7.4 tool chain: a pFuzzer
-// campaign extended with grammar mining over its valid corpus — with
-// Workers <= 1 its exploration is bit-identical to the PFuzzer
-// campaign under the same seed, so its token coverage is a superset
+// campaign extended with grammar mining over its valid corpus — its
+// exploration is bit-identical to the PFuzzer campaign under the same
+// seed, so its token coverage is a superset
 // by construction and the column isolates what mining adds.
 const (
 	PFuzzer     Tool = "pFuzzer"
@@ -68,16 +68,10 @@ type Budget struct {
 	Runs      int   // repetitions; the best run is reported
 	Seed      int64 // base RNG seed
 	Deadline  time.Duration
-	// Workers sets the pFuzzer campaign's executor count (see
-	// core.Config.Workers). 0 or 1 keeps the deterministic serial
-	// engine the paper numbers were produced with; more workers
-	// regenerate the figures faster at the cost of run-to-run
-	// ordering variation.
-	Workers int
 	// Fleet sets how many campaigns of the matrix advance
 	// concurrently over the fleet orchestrator's worker pool (0 or 1
-	// = one at a time). Unlike Workers it changes no campaign's
-	// result: serial pFuzzer campaigns are slice-invariant and the
+	// = one at a time). It changes no campaign's result: pFuzzer
+	// campaigns are slice-invariant and the
 	// baselines run as single steps, so a parallel matrix reproduces
 	// the serial one bit for bit, only faster.
 	Fleet int
@@ -214,16 +208,6 @@ func newCell(entry registry.Entry, tool Tool, budget Budget, rep int) *cell {
 		return out
 	}
 
-	// Serial pFuzzer campaigns are slice-invariant, so they ride the
-	// fleet's default slice for fine multiplexing. With Workers > 1
-	// each Step spins a fresh executor generation, so those campaigns
-	// — like AFL and KLEE below — run as one full-budget step instead
-	// of paying pool startup per slice.
-	pfSlice := budget.FleetSlice
-	if budget.Workers > 1 {
-		pfSlice = budget.PFuzzerExecs + budget.EffectiveMineExecs()
-	}
-
 	// collectCore distills a pFuzzer-engine campaign, carrying the
 	// execution-cache counters along with the paper metrics.
 	collectCore := func(f *core.Campaign) func() SubjectResult {
@@ -242,10 +226,11 @@ func newCell(entry registry.Entry, tool Tool, budget Budget, rep int) *cell {
 			Seed:     seed,
 			MaxExecs: budget.PFuzzerExecs,
 			Deadline: budget.Deadline,
-			Workers:  budget.Workers,
 			Cache:    budget.Cache,
 		})
-		c.job = &campaign.Job{Name: name, Runner: f, Slice: pfSlice}
+		// pFuzzer campaigns are slice-invariant, so they ride the
+		// fleet's default slice for fine multiplexing.
+		c.job = &campaign.Job{Name: name, Runner: f, Slice: budget.FleetSlice}
 		c.collect = collectCore(f)
 	case PFuzzerMine:
 		mineExecs := budget.EffectiveMineExecs()
@@ -253,8 +238,7 @@ func newCell(entry registry.Entry, tool Tool, budget Budget, rep int) *cell {
 			Seed: seed,
 			// Exploration gets the full pFuzzer budget and runs as
 			// one uninterrupted phase (MineCadence >= exploration),
-			// so with Workers <= 1 it reproduces the PFuzzer
-			// campaign's corpus exactly; the mining phase then spends
+			// so it reproduces the PFuzzer campaign's corpus exactly; the mining phase then spends
 			// its own budget on top, with the feedback loop running
 			// round by round inside the phase.
 			MaxExecs:    budget.PFuzzerExecs + mineExecs,
@@ -263,10 +247,9 @@ func newCell(entry registry.Entry, tool Tool, budget Budget, rep int) *cell {
 			MinePhase:   true,
 			MineLexer:   entry.Lexer,
 			Deadline:    budget.Deadline,
-			Workers:     budget.Workers,
 			Cache:       budget.Cache,
 		})
-		c.job = &campaign.Job{Name: name, Runner: f, Slice: pfSlice}
+		c.job = &campaign.Job{Name: name, Runner: f, Slice: budget.FleetSlice}
 		c.collect = collectCore(f)
 	case AFL:
 		f := afl.New(prog, afl.Config{

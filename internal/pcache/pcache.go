@@ -27,9 +27,11 @@
 // (internal/conformance) would surface one as a fingerprint mismatch.
 //
 // The table is striped: entries spread over independently RW-locked
-// segments selected by key hash, so the parallel engine's speculative
-// workers and its scheduler probe and fill the shared cache without
-// contending on one global lock. The routing structures in front of
+// segments selected by key hash, so concurrent callers probe and fill
+// a shared cache without contending on one global lock. (The
+// campaign engine is serial, so one goroutine touches a campaign's
+// cache; the striping is kept until it is measured against a
+// single-owner table.) The routing structures in front of
 // the segments — the prefix-length bitset and the negative bloom
 // filter — are read lock-free with atomic word loads; writers publish
 // bits with CAS (the filters are append-only, so a racing reader can
@@ -93,9 +95,8 @@ const (
 	bloomMask  = bloomWords*64 - 1
 )
 
-// stripeBits fixes the segment count at 16: enough that a scheduler
-// plus a handful of speculative workers rarely collide on a segment
-// lock, few enough that the per-segment maps stay dense. Segments are
+// stripeBits fixes the segment count at 16: enough that a handful of
+// concurrent callers rarely collide on a segment lock, few enough that the per-segment maps stay dense. Segments are
 // selected by the top hash bits, disjoint from the low bits the bloom
 // filter consumes.
 const (

@@ -34,9 +34,9 @@ type Entry struct {
 	Name string
 	// New constructs the subject. Every registered constructor
 	// returns a stateless value whose Run method is safe for
-	// concurrent calls — the contract the concurrent campaign engine
-	// (core.Config.Workers > 1) relies on when sharing one Program
-	// across its executor pool.
+	// concurrent calls, so one Program may be shared across
+	// goroutines (the conformance kit's determinism property checks
+	// this).
 	New func() subject.Program
 	// Inventory is the subject's full token inventory.
 	Inventory tokens.Inventory

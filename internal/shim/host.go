@@ -1,10 +1,9 @@
 // Parent side of the protocol: a Host owns a pool of connected
 // children and turns their failures — crash, hang, garbage, refusal
 // to spawn — into per-execution outcomes the engines already know how
-// to absorb. One Host serves any number of concurrent workers (the
-// concurrent campaign engine shares one Program across its executor
-// pool), growing the child pool on demand and retiring children
-// beyond MaxIdle.
+// to absorb. One Host serves any number of concurrent callers (a
+// Program may be shared across goroutines), growing the child pool on
+// demand and retiring children beyond MaxIdle.
 package shim
 
 import (

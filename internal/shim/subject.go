@@ -1,5 +1,5 @@
 // Subject adapts a Host to the subject.Program contract, so every
-// engine — serial, concurrent, speculative pipeline — drives an
+// engine — pFuzzer, the AFL and KLEE baselines — drives an
 // out-of-process subject through the interface it already knows. The
 // trace replay goes through the public trace.Tracer methods only:
 // sequence numbers, the path hash, block first-hit order, stack
