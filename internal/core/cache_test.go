@@ -140,11 +140,42 @@ func TestCacheCountersSurviveSnapshotResume(t *testing.T) {
 	}
 }
 
+// cacheCounters is the observable footprint of a campaign's cache:
+// the hit/miss split and whether CacheAuto retired it.
+type cacheCounters struct {
+	hits, misses int
+	retired      bool
+}
+
+// wantCacheCounters pins, per subject, the cache counters of the
+// seed-1, 12000-execution campaigns TestCacheModesMatchOffAllSubjects
+// runs, for CacheAuto and CacheOn in that order. CacheRetired (and the
+// retire milestone behind it) is campaign state written into
+// snapshots, so a cache rewrite that shifts a single admission, hit or
+// retire point shows up here even when every fingerprint still
+// matches. A change to the adaptive retirement rule (the ROADMAP's
+// cost-rule item) is expected to move these values; re-record them
+// then, and only then.
+var wantCacheCounters = map[string][2]cacheCounters{
+	"ini":     {{11995, 6, false}, {11995, 6, false}},
+	"csv":     {{11899, 101, false}, {11899, 101, false}},
+	"cjson":   {{1331, 10670, true}, {2387, 9614, false}},
+	"tinyc":   {{5818, 6183, false}, {5818, 6183, false}},
+	"mjs":     {{1592, 10408, true}, {2246, 9754, false}},
+	"expr":    {{1081, 10920, true}, {1618, 10383, false}},
+	"paren":   {{5229, 6771, false}, {5229, 6771, false}},
+	"urlp":    {{941, 11059, true}, {1174, 10826, false}},
+	"sexpr":   {{1461, 10539, true}, {2124, 9876, false}},
+	"httpreq": {{1712, 10288, true}, {2513, 9487, false}},
+	"dotg":    {{6763, 5237, false}, {6763, 5237, false}},
+}
+
 // TestCacheModesMatchOffAllSubjects is the cache-soundness gate on
 // every registered subject: with the cache on, and with CacheAuto past
 // its first retire milestone (cacheProbation), a campaign's
 // fingerprint equals the CacheOff campaign's. An unsound cache entry
-// shows up here as a divergence.
+// shows up here as a divergence. Each cached campaign's counters must
+// also match wantCacheCounters.
 func TestCacheModesMatchOffAllSubjects(t *testing.T) {
 	if testing.Short() {
 		t.Skip("33 campaigns of 12k executions; skipped with -short")
@@ -156,10 +187,19 @@ func TestCacheModesMatchOffAllSubjects(t *testing.T) {
 				return New(e.New(), Config{Seed: 1, MaxExecs: execs, Cache: mode}).Run()
 			}
 			off := run(CacheOff)
-			for _, mode := range []CacheMode{CacheAuto, CacheOn} {
-				if got := run(mode); got.Fingerprint() != off.Fingerprint() {
+			want, pinned := wantCacheCounters[e.Name]
+			if !pinned {
+				t.Errorf("no pinned cache counters for subject %s", e.Name)
+			}
+			for i, mode := range []CacheMode{CacheAuto, CacheOn} {
+				got := run(mode)
+				if got.Fingerprint() != off.Fingerprint() {
 					t.Errorf("cache mode %d: fingerprint %#x, CacheOff %#x (%d vs %d valids)",
 						mode, got.Fingerprint(), off.Fingerprint(), len(got.Valids), len(off.Valids))
+				}
+				c := cacheCounters{got.CacheHits, got.CacheMisses, got.CacheRetired}
+				if pinned && c != want[i] {
+					t.Errorf("cache mode %d: counters %+v, pinned %+v", mode, c, want[i])
 				}
 			}
 		})

@@ -48,13 +48,40 @@ func (m *model) putExact(k, v string) bool {
 }
 
 func (m *model) get(input string) (string, bool) {
+	tier, k, ok := m.slot(input)
+	if !ok {
+		return "", false
+	}
+	return tier[k], true
+}
+
+// slot names the entry get(input) answers from: the shortest stored
+// prefix, else the exact entry.
+func (m *model) slot(input string) (map[string]string, string, bool) {
 	for l := 0; l <= len(input); l++ {
-		if v, ok := m.prefixes[input[:l]]; ok {
-			return v, true
+		if _, ok := m.prefixes[input[:l]]; ok {
+			return m.prefixes, input[:l], true
 		}
 	}
-	v, ok := m.exacts[input]
-	return v, ok
+	_, ok := m.exacts[input]
+	return m.exacts, input, ok
+}
+
+// putExactAt mirrors PutExactAt on the Ref of a Get over k: a hit Ref
+// admits nothing, a miss Ref admits like putExact.
+func (m *model) putExactAt(k, v string) bool {
+	if _, hit := m.get(k); hit {
+		return false
+	}
+	return m.putExact(k, v)
+}
+
+// set mirrors Set on the Ref of a Get over input: the answering entry
+// is overwritten, a miss is a no-op.
+func (m *model) set(input, v string) {
+	if tier, k, ok := m.slot(input); ok {
+		tier[k] = v
+	}
 }
 
 // randKey draws a short string over a three-letter alphabet, so
@@ -69,45 +96,88 @@ func randKey(rng *rand.Rand) string {
 	return sb.String()
 }
 
-// TestModelAgreement drives random interleavings of PutPrefix,
-// PutExact and Get against the reference model: every put must admit
-// or reject exactly like the model, every lookup must return the
-// model's answer.
+// TestModelAgreement drives random interleavings of every entry
+// point — PutPrefix, PutExact, PutExactAt, Get, GetExt and Set —
+// against the reference model: every put must admit or reject exactly
+// like the model (the entry bound included; limit=4 fills within a
+// few ops), every lookup must return the model's answer, and Len must
+// track the model's size throughout.
 func TestModelAgreement(t *testing.T) {
 	for _, limit := range []int{4, 64, 1 << 16} {
 		t.Run(fmt.Sprintf("limit=%d", limit), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(limit)))
 			c := New[string](limit)
 			m := newModel(limit)
-			for op := 0; op < 20000; op++ {
-				k := randKey(rng)
-				switch rng.Intn(4) {
-				case 0:
-					v := fmt.Sprintf("P%q#%d", k, op)
-					got, want := c.PutPrefix([]byte(k), v), m.putPrefix(k, v)
-					if got != want {
-						t.Fatalf("op %d: PutPrefix(%q) = %v, model says %v", op, k, got, want)
-					}
-				case 1:
-					v := fmt.Sprintf("E%q#%d", k, op)
-					got, want := c.PutExact([]byte(k), v), m.putExact(k, v)
-					if got != want {
-						t.Fatalf("op %d: PutExact(%q) = %v, model says %v", op, k, got, want)
-					}
-				default:
-					gotV, _, gotOK := c.Get([]byte(k))
-					wantV, wantOK := m.get(k)
-					if gotOK != wantOK || gotV != wantV {
-						t.Fatalf("op %d: Get(%q) = (%q, %v), model says (%q, %v)",
-							op, k, gotV, gotOK, wantV, wantOK)
-					}
+			for op := 0; op < 30000; op++ {
+				if err := modelOp(c, m, rng, op); err != nil {
+					t.Fatal(err)
 				}
-			}
-			if c.Len() != m.size() {
-				t.Fatalf("Len() = %d, model holds %d", c.Len(), m.size())
 			}
 		})
 	}
+}
+
+// modelOp draws one random call to a cache entry point, makes it on
+// both c and m, and reports the first disagreement — admission bool,
+// lookup answer, GetExt's Ref, or Len afterwards.
+func modelOp(c *Cache[string], m *model, rng *rand.Rand, op int) error {
+	k := randKey(rng)
+	switch rng.Intn(8) {
+	case 0:
+		v := fmt.Sprintf("P%q#%d", k, op)
+		got, want := c.PutPrefix([]byte(k), v), m.putPrefix(k, v)
+		if got != want {
+			return fmt.Errorf("op %d: PutPrefix(%q) = %v, model says %v", op, k, got, want)
+		}
+	case 1:
+		v := fmt.Sprintf("E%q#%d", k, op)
+		got, want := c.PutExact([]byte(k), v), m.putExact(k, v)
+		if got != want {
+			return fmt.Errorf("op %d: PutExact(%q) = %v, model says %v", op, k, got, want)
+		}
+	case 2:
+		v := fmt.Sprintf("A%q#%d", k, op)
+		_, ref, _ := c.Get([]byte(k))
+		got, want := c.PutExactAt(ref, v), m.putExactAt(k, v)
+		if got != want {
+			return fmt.Errorf("op %d: PutExactAt(Get(%q)) = %v, model says %v", op, k, got, want)
+		}
+	case 3:
+		// Resume an extension probe from a miss, as the engine does;
+		// nothing is admitted in between, so GetExt owes the full
+		// Get's answer and Ref.
+		_, ref, ok := c.Get([]byte(k))
+		if ok {
+			break
+		}
+		tail := randKey(rng)
+		ext := k + tail
+		gotV, gotRef, gotOK := c.GetExt(ref, []byte(tail))
+		wantV, wantOK := m.get(ext)
+		if gotOK != wantOK || gotV != wantV {
+			return fmt.Errorf("op %d: GetExt(%q + %q) = (%q, %v), model says (%q, %v)",
+				op, k, tail, gotV, gotOK, wantV, wantOK)
+		}
+		if _, fullRef, _ := c.Get([]byte(ext)); gotRef != fullRef {
+			return fmt.Errorf("op %d: GetExt(%q + %q) Ref %+v, Get's %+v", op, k, tail, gotRef, fullRef)
+		}
+	case 4:
+		v := fmt.Sprintf("S%q#%d", k, op)
+		_, ref, _ := c.Get([]byte(k))
+		c.Set(ref, v)
+		m.set(k, v)
+	default:
+		gotV, _, gotOK := c.Get([]byte(k))
+		wantV, wantOK := m.get(k)
+		if gotOK != wantOK || gotV != wantV {
+			return fmt.Errorf("op %d: Get(%q) = (%q, %v), model says (%q, %v)",
+				op, k, gotV, gotOK, wantV, wantOK)
+		}
+	}
+	if c.Len() != m.size() {
+		return fmt.Errorf("op %d: Len() = %d, model holds %d", op, c.Len(), m.size())
+	}
+	return nil
 }
 
 // TestShortestPrefixWins pins the nested-prefix contract directly.
@@ -180,12 +250,18 @@ func TestRefRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRetire: a retired cache answers nothing, admits nothing, and
-// reports empty.
+// TestRetire: a retired cache answers nothing through any lookup,
+// admits nothing through any put, reports empty, and has released
+// its map, bloom filter and length bitset.
 func TestRetire(t *testing.T) {
 	c := New[string](0)
 	c.PutExact([]byte("k"), "v")
 	c.PutPrefix([]byte("p"), "w")
+	_, hit, _ := c.Get([]byte("k"))
+	_, miss, _ := c.Get([]byte("x"))
+	if c.m == nil || c.bloom == nil || c.lens == nil {
+		t.Fatal("a live cache with a prefix entry lacks its map, bloom filter or bitset")
+	}
 	c.Retire()
 	if !c.Retired() {
 		t.Fatal("Retired() = false after Retire")
@@ -193,228 +269,226 @@ func TestRetire(t *testing.T) {
 	if _, _, ok := c.Get([]byte("k")); ok {
 		t.Error("Get hit after Retire")
 	}
-	if c.PutExact([]byte("x"), "v") || c.PutPrefix([]byte("y"), "v") {
+	if _, r, ok := c.GetExt(miss, []byte("y")); ok || r != (Ref{}) {
+		t.Errorf("GetExt after Retire = (%+v, %v), want the zero Ref and a miss", r, ok)
+	}
+	if c.PutExact([]byte("x"), "v") || c.PutPrefix([]byte("y"), "v") || c.PutExactAt(miss, "v") {
 		t.Error("Put admitted an entry after Retire")
 	}
+	c.Set(hit, "z") // must not panic or store anything
 	if c.Len() != 0 {
 		t.Errorf("Len = %d after Retire, want 0", c.Len())
 	}
-}
-
-// TestConcurrentRetire retires the cache while readers are mid-Get:
-// the read path must tolerate the storage vanishing between its
-// retired-flag check and the lock (a nil-bloom panic lived exactly
-// there), answering a clean miss instead.
-func TestConcurrentRetire(t *testing.T) {
-	for round := 0; round < 50; round++ {
-		c := New[string](0)
-		rng := rand.New(rand.NewSource(int64(round)))
-		for i := 0; i < 200; i++ {
-			k := randKey(rng)
-			c.PutExact([]byte(k), "E:"+k)
-			c.PutPrefix([]byte(k), "P:"+k)
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < 4; w++ {
-			wg.Add(1)
-			go func(seed int64) {
-				defer wg.Done()
-				r := rand.New(rand.NewSource(seed))
-				for i := 0; i < 500; i++ {
-					c.Get([]byte(randKey(r)))
-				}
-			}(int64(round*10 + w))
-		}
-		c.Retire()
-		wg.Wait()
-		if _, _, ok := c.Get([]byte("a")); ok {
-			t.Fatal("hit after Retire")
-		}
+	if c.m != nil || c.bloom != nil || c.lens != nil {
+		t.Error("Retire kept the map, bloom filter or bitset allocated")
 	}
 }
 
-// TestConcurrentReaders hammers one cache from concurrent readers
-// while a writer keeps inserting — the parallel engine's sharing
-// pattern — under the invariant that any value returned for an input
-// must be one that was actually stored for a prefix of it (values
-// encode their own key). Run with -race this also proves the locking.
-func TestConcurrentReaders(t *testing.T) {
-	c := New[string](1 << 14)
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-
-	wg.Add(1)
-	go func() { // writer
-		defer wg.Done()
-		rng := rand.New(rand.NewSource(99))
-		for i := 0; i < 30000; i++ {
-			k := randKey(rng)
-			if rng.Intn(2) == 0 {
-				c.PutPrefix([]byte(k), "P:"+k)
-			} else {
-				c.PutExact([]byte(k), "E:"+k)
-			}
-		}
-		close(stop)
-	}()
-
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				k := randKey(rng)
-				v, _, ok := c.Get([]byte(k))
-				if !ok {
-					continue
-				}
-				switch {
-				case strings.HasPrefix(v, "P:"):
-					if !strings.HasPrefix(k, v[2:]) {
-						t.Errorf("Get(%q) returned prefix entry %q that is not a prefix", k, v)
-						return
-					}
-				case strings.HasPrefix(v, "E:"):
-					if v[2:] != k {
-						t.Errorf("Get(%q) returned exact entry %q for different bytes", k, v)
-						return
-					}
-				default:
-					t.Errorf("Get(%q) returned unknown value %q", k, v)
-					return
-				}
-			}
-		}(int64(w + 1))
-	}
-	wg.Wait()
-}
-
-// TestConcurrentModelAgreement is the model-based stress proof for the
-// striped table: N mutator goroutines hammer PutPrefix/PutExact while
-// readers Get concurrently, every goroutine recording which of its
-// puts were admitted. First-write-wins serialises on the segment
-// locks, so across all goroutines at most one put per (tier, key) can
-// have returned true — the admitted set therefore defines a unique
-// sequential model regardless of interleaving, and after quiescing
-// the cache must agree with that model on every probe, with Len equal
-// to the total number of admissions. Run with -race this is also the
-// locking proof for the striped segments, the atomic length bitset
-// and the CAS-published bloom filter.
+// TestConcurrentModelAgreement runs the model agreement under the
+// campaign fleet's sharing pattern: several jobs, each a cache with
+// its own model, are stepped in batches by a pool of workers that pass
+// the jobs between them over a channel, so no job is ever held by two
+// workers at once and a job's successive batches run on different
+// goroutines. The channel hand-off is the only ordering between
+// batches; run with -race this checks that the single-owner contract
+// needs nothing more from the cache, and that caches stepped in
+// parallel share no state. At limit=97 every job fills its bound.
 func TestConcurrentModelAgreement(t *testing.T) {
 	for _, limit := range []int{1 << 16, 97} {
 		t.Run(fmt.Sprintf("limit=%d", limit), func(t *testing.T) {
-			c := New[string](limit)
-			type put struct {
-				prefix bool
-				k, v   string
-			}
 			const (
-				mutators = 4
-				readers  = 3
-				opsPerM  = 8000
+				jobs     = 4
+				workers  = 3
+				batches  = 40
+				perBatch = 250
 			)
-			admitted := make([][]put, mutators)
-			var mg, rg sync.WaitGroup
-			stop := make(chan struct{})
-			for w := 0; w < mutators; w++ {
-				mg.Add(1)
-				go func(w int) {
-					defer mg.Done()
-					rng := rand.New(rand.NewSource(int64(w + 1)))
-					for i := 0; i < opsPerM; i++ {
-						k := randKey(rng)
-						v := fmt.Sprintf("%d#%d:%q", w, i, k)
-						if rng.Intn(2) == 0 {
-							if c.PutPrefix([]byte(k), "P"+v) {
-								admitted[w] = append(admitted[w], put{true, k, "P" + v})
-							}
-						} else {
-							if c.PutExact([]byte(k), "E"+v) {
-								admitted[w] = append(admitted[w], put{false, k, "E" + v})
-							}
-						}
-					}
-				}(w)
+			type job struct {
+				id, op, batch int
+				c             *Cache[string]
+				m             *model
+				rng           *rand.Rand
+				err           error
 			}
-			for r := 0; r < readers; r++ {
-				rg.Add(1)
-				go func(r int) {
-					defer rg.Done()
-					rng := rand.New(rand.NewSource(int64(100 + r)))
-					for {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						k := randKey(rng)
-						v, _, ok := c.Get([]byte(k))
-						if !ok {
-							continue
-						}
-						// Values encode their own key: any answer must
-						// be a stored entry for a prefix of k (or k).
-						body := v[strings.Index(v, ":")+2 : len(v)-1]
-						switch v[0] {
-						case 'P':
-							if !strings.HasPrefix(k, body) {
-								t.Errorf("Get(%q) = prefix entry %q: not a prefix", k, v)
-								return
-							}
-						case 'E':
-							if body != k {
-								t.Errorf("Get(%q) = exact entry %q: wrong bytes", k, v)
-								return
-							}
-						default:
-							t.Errorf("Get(%q) = unknown value %q", k, v)
-							return
-						}
-					}
-				}(r)
-			}
-			mg.Wait()
-			close(stop)
-			rg.Wait()
-
-			// Quiesced: rebuild the unique model from the admissions.
-			m := newModel(1 << 30)
-			total := 0
-			for _, puts := range admitted {
-				for _, p := range puts {
-					total++
-					var fresh bool
-					if p.prefix {
-						fresh = m.putPrefix(p.k, p.v)
-					} else {
-						fresh = m.putExact(p.k, p.v)
-					}
-					if !fresh {
-						t.Fatalf("two admitted puts for the same slot (%v, %q)", p.prefix, p.k)
-					}
+			queue := make(chan *job, jobs)
+			done := make(chan *job, jobs)
+			for j := 0; j < jobs; j++ {
+				queue <- &job{
+					id:  j,
+					c:   New[string](limit),
+					m:   newModel(limit),
+					rng: rand.New(rand.NewSource(int64(limit + j))),
 				}
 			}
-			if total > limit {
-				t.Fatalf("admitted %d entries, limit %d", total, limit)
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for jb := range queue {
+						for i := 0; i < perBatch && jb.err == nil; i++ {
+							jb.err = modelOp(jb.c, jb.m, jb.rng, jb.op)
+							jb.op++
+						}
+						if jb.batch++; jb.batch == batches || jb.err != nil {
+							done <- jb
+						} else {
+							queue <- jb
+						}
+					}
+				}()
 			}
-			if c.Len() != total {
-				t.Fatalf("Len() = %d, admissions say %d", c.Len(), total)
+			finished := make([]*job, 0, jobs)
+			for len(finished) < jobs {
+				finished = append(finished, <-done)
 			}
-			rng := rand.New(rand.NewSource(7))
-			for i := 0; i < 20000; i++ {
-				k := randKey(rng)
-				gotV, _, gotOK := c.Get([]byte(k))
-				wantV, wantOK := m.get(k)
-				if gotOK != wantOK || gotV != wantV {
-					t.Fatalf("Get(%q) = (%q, %v), model says (%q, %v)", k, gotV, gotOK, wantV, wantOK)
+			close(queue)
+			wg.Wait()
+			for _, jb := range finished {
+				if jb.err != nil {
+					t.Fatalf("job %d: %v", jb.id, jb.err)
+				}
+				if jb.c.Len() != jb.m.size() {
+					t.Fatalf("job %d: Len() = %d, model holds %d", jb.id, jb.c.Len(), jb.m.size())
+				}
+				if limit < 1<<16 && jb.c.Len() != limit {
+					t.Fatalf("job %d: Len() = %d, want the bound %d reached", jb.id, jb.c.Len(), limit)
 				}
 			}
 		})
+	}
+}
+
+// TestConcurrentReaders runs independent caches side by side, one
+// owner goroutine each (as the fleet runs one campaign per worker),
+// over the same seeded call sequence of puts and lookups. Any value a
+// lookup returns must have been stored for a prefix of the input, or
+// for the input itself (values encode their own key), and since every
+// owner makes identical calls, every owner must see identical answers:
+// caches that share nothing cannot tell they ran in parallel. Run with
+// -race this also checks that the package keeps no shared mutable
+// state.
+func TestConcurrentReaders(t *testing.T) {
+	const owners = 4
+	type result struct {
+		answers []string
+		n       int
+		err     error
+	}
+	results := make([]result, owners)
+	var wg sync.WaitGroup
+	for w := 0; w < owners; w++ {
+		wg.Add(1)
+		go func(res *result) {
+			defer wg.Done()
+			c := New[string](1 << 14)
+			rng := rand.New(rand.NewSource(99))
+			for i := 0; i < 30000; i++ {
+				k := randKey(rng)
+				switch rng.Intn(4) {
+				case 0:
+					c.PutPrefix([]byte(k), "P:"+k)
+				case 1:
+					c.PutExact([]byte(k), "E:"+k)
+				default:
+					v, _, ok := c.Get([]byte(k))
+					if !ok {
+						res.answers = append(res.answers, "")
+						continue
+					}
+					res.answers = append(res.answers, v)
+					switch {
+					case strings.HasPrefix(v, "P:"):
+						if !strings.HasPrefix(k, v[2:]) {
+							res.err = fmt.Errorf("Get(%q) returned prefix entry %q that is not a prefix", k, v)
+							return
+						}
+					case strings.HasPrefix(v, "E:"):
+						if v[2:] != k {
+							res.err = fmt.Errorf("Get(%q) returned exact entry %q for different bytes", k, v)
+							return
+						}
+					default:
+						res.err = fmt.Errorf("Get(%q) returned unknown value %q", k, v)
+						return
+					}
+				}
+			}
+			res.n = c.Len()
+		}(&results[w])
+	}
+	wg.Wait()
+	for w, res := range results {
+		if res.err != nil {
+			t.Fatalf("owner %d: %v", w, res.err)
+		}
+		if res.n != results[0].n || strings.Join(res.answers, "|") != strings.Join(results[0].answers, "|") {
+			t.Fatalf("owner %d diverged from owner 0: Len %d vs %d over %d vs %d lookups",
+				w, res.n, results[0].n, len(res.answers), len(results[0].answers))
+		}
+	}
+}
+
+// TestConcurrentRetire retires a cache on one goroutine while Refs
+// taken before the Retire are still held, then hands the cache to a
+// third goroutine that makes every call with those stale Refs. Retire
+// releases the map, bloom filter and bitset the Refs were taken
+// against, so each call must answer a clean miss or do nothing instead
+// of touching released storage (a nil-bloom panic once lived on this
+// path). Several such pipelines run in parallel, and the caches of the
+// others must not notice.
+func TestConcurrentRetire(t *testing.T) {
+	type handoff struct {
+		c         *Cache[string]
+		hit, miss Ref
+	}
+	const pipelines = 4
+	errs := make([]error, pipelines)
+	var wg sync.WaitGroup
+	for p := 0; p < pipelines; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for round := 0; round < 50; round++ {
+				filled, retired := make(chan handoff), make(chan handoff)
+				go func() { // owner 1: fill, take Refs
+					c := New[string](0)
+					rng := rand.New(rand.NewSource(int64(p*1000 + round)))
+					for i := 0; i < 200; i++ {
+						k := randKey(rng)
+						c.PutExact([]byte(k), "E:"+k)
+						c.PutPrefix([]byte(k+"z"), "P:"+k)
+					}
+					c.PutExact([]byte("hit"), "v")
+					_, hit, _ := c.Get([]byte("hit"))
+					_, miss, _ := c.Get([]byte("miss"))
+					filled <- handoff{c, hit, miss}
+				}()
+				go func() { // owner 2: retire
+					h := <-filled
+					h.c.Retire()
+					retired <- h
+				}()
+				h := <-retired // owner 3: probe with the stale Refs
+				if _, _, ok := h.c.Get([]byte("hit")); ok {
+					errs[p] = fmt.Errorf("round %d: Get hit after Retire", round)
+					return
+				}
+				if _, r, ok := h.c.GetExt(h.miss, []byte("z")); ok || r != (Ref{}) {
+					errs[p] = fmt.Errorf("round %d: GetExt after Retire = (%+v, %v)", round, r, ok)
+					return
+				}
+				h.c.Set(h.hit, "w")
+				if h.c.PutExactAt(h.miss, "v") || h.c.PutPrefix([]byte("a"), "v") || h.c.Len() != 0 {
+					errs[p] = fmt.Errorf("round %d: retired cache admitted an entry (Len %d)", round, h.c.Len())
+					return
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
+	for p, err := range errs {
+		if err != nil {
+			t.Fatalf("pipeline %d: %v", p, err)
+		}
 	}
 }

@@ -174,8 +174,9 @@ func New(input []byte, opts Options) *Tracer {
 
 // Sink is a reusable event buffer for executing many subjects in a
 // row without re-allocating the per-execution slices and maps. Each
-// executor of the concurrent campaign engine owns one Sink, making
-// trace collection per-worker with zero shared state.
+// pFuzzer campaign (core.Fuzzer) owns one Sink, used only by the
+// goroutine stepping that campaign, so trace collection shares no
+// state between campaigns.
 //
 // A Sink must not be used by two Tracers at the same time: the Record
 // produced by Finish aliases the sink's buffers — including every
