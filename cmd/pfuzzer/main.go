@@ -37,25 +37,25 @@
 // SIGINT or SIGTERM interrupts the campaign gracefully: the current
 // slice finishes, a final snapshot lands in the journal, the summary
 // prints, shim children are killed, and pfuzzer exits 130. A second
-// signal forces immediate exit.
+// signal forces exit 130 at once: the shim children are killed and
+// the journal is left as a kill -9 would leave it, which -resume
+// recovers.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strings"
-	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
+	"pfuzzer/internal/campaign"
 	"pfuzzer/internal/core"
 	"pfuzzer/internal/corpus"
+	"pfuzzer/internal/exitstack"
 	"pfuzzer/internal/registry"
-	"pfuzzer/internal/shim"
-	"pfuzzer/internal/subject"
 )
 
 func main() {
@@ -84,109 +84,80 @@ func main() {
 		return
 	}
 	if flag.NArg() != 0 {
-		fail("unexpected arguments: %s", strings.Join(flag.Args(), " "))
+		exits.Fail("unexpected arguments: %s", strings.Join(flag.Args(), " "))
 	}
 	if *resumePath != "" && *outPath != "" && *resumePath != *outPath {
-		fail("use either -resume (which keeps journaling to the same file) or -out, not both")
+		exits.Fail("use either -resume (which keeps journaling to the same file) or -out, not both")
 	}
 
-	trapSignals()
+	exits.Trap(func() {
+		interrupted.Store(true)
+		fmt.Fprintln(os.Stderr, "pfuzzer: interrupted — finishing the current slice, cutting a final snapshot (signal again to force exit)")
+	})
 
-	var run *campaignRun
+	if *snapEvery < 1 {
+		*snapEvery = 10000
+	}
+	opts := campaign.DurableOptions{Journal: *outPath, Tool: "pFuzzer", SnapEvery: *snapEvery, Events: printValids(*quiet)}
+	if *shimBin != "" {
+		opts.Shim = []string{*shimBin}
+	}
+	var d *campaign.Durable
+	var err error
 	if *resumePath != "" {
 		warnIgnoredOnResume()
-		run = resume(*resumePath, *execs, *maxValids, cacheMode(*cache), *quiet, *shimBin)
+		opts.Journal = *resumePath
+		over := core.Config{Cache: cacheMode(*cache)}
+		if explicit("execs") {
+			over.MaxExecs = *execs
+		}
+		if explicit("valids") {
+			over.MaxValids = *maxValids
+		}
+		d, err = campaign.ResumeDurable(over, nil, opts)
 	} else {
 		cfg := flagConfig(*subjectName, *seed, *execs, *maxValids,
 			*minePhase, *mineBudget, *mineTokens, *mineCadence, *mineFrom)
 		if !*cache {
 			cfg.Cache = core.CacheOff
 		}
-		run = fresh(cfg, *subjectName, *outPath, *quiet, *shimBin)
+		d, err = campaign.NewDurable(*subjectName, cfg, opts)
+	}
+	if err != nil {
+		exits.Fail("%v", err)
+	}
+	// A forced exit may land while the main goroutine is inside Step,
+	// so its cleanup only kills the shim children: the kernel drops
+	// the journal's fd and lock, and the journal is kill -9 safe.
+	if h := d.Host(); h != nil {
+		exits.OnExit(h.Close)
+	}
+	if *resumePath != "" {
+		if n := d.TruncatedBytes(); n > 0 {
+			fmt.Fprintf(os.Stderr, "recovered journal %s: dropped %d bytes of torn tail\n", *resumePath, n)
+		}
+		res := d.Campaign().Result()
+		fmt.Fprintf(os.Stderr, "resuming %s at %d execs, %d valids\n", d.Entry().Name, res.Execs, len(res.Valids))
 	}
 
-	drive(run.camp, run.store, *snapEvery)
-	run.summarize()
+	err = drive(d, *snapEvery)
+	if err = errors.Join(err, d.Close()); err != nil {
+		exits.Fail("%v", err)
+	}
+	summarize(d)
 	if interrupted.Load() {
-		exit(130)
+		exits.Exit(130)
 	}
-	exit(0)
+	exits.Exit(0)
 }
 
-// campaignRun bundles one invocation's campaign, journal and subject.
-// The subject Program is constructed once and shared between the
-// engine and the summary.
-type campaignRun struct {
-	camp  *core.Campaign
-	store *corpus.Store
-	entry registry.Entry
-	prog  subject.Program
-	host  *shim.Host
-}
-
-// The cleanup stack: every resource that must not be abandoned on any
-// exit path — the corpus journal, shim child processes — registers
-// here, and every exit (normal completion, fail, forced signal) runs
-// the stack exactly once, LIFO. This is what guarantees a flag error
-// after -out opened the journal still flushes and closes it.
 var (
-	cleanupMu   sync.Mutex
-	cleanups    []func()
-	cleanupDone bool
+	exits = exitstack.New("pfuzzer")
 
 	// interrupted flips on the first SIGINT/SIGTERM; drive checks it
 	// between slices so the campaign stops at a snapshot boundary.
 	interrupted atomic.Bool
 )
-
-// onExit pushes a cleanup to run at process exit.
-func onExit(f func()) {
-	cleanupMu.Lock()
-	defer cleanupMu.Unlock()
-	cleanups = append(cleanups, f)
-}
-
-// runCleanups runs the stack LIFO, once.
-func runCleanups() {
-	cleanupMu.Lock()
-	defer cleanupMu.Unlock()
-	if cleanupDone {
-		return
-	}
-	cleanupDone = true
-	for i := len(cleanups) - 1; i >= 0; i-- {
-		cleanups[i]()
-	}
-}
-
-// exit is the single exit path: cleanups, then the status code.
-func exit(code int) {
-	runCleanups()
-	os.Exit(code)
-}
-
-func fail(msg string, args ...any) {
-	fmt.Fprintf(os.Stderr, "pfuzzer: "+msg+"\n", args...)
-	exit(2)
-}
-
-// trapSignals installs the graceful-shutdown handler: the first
-// SIGINT/SIGTERM asks the drive loop to stop at the next snapshot
-// boundary (final snapshot + summary still happen), the second forces
-// an immediate exit through the cleanup stack, so shim children are
-// killed and the journal is closed either way.
-func trapSignals() {
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sigc
-		interrupted.Store(true)
-		fmt.Fprintln(os.Stderr, "pfuzzer: interrupted — finishing the current slice, cutting a final snapshot (signal again to force exit)")
-		<-sigc
-		fmt.Fprintln(os.Stderr, "pfuzzer: forced exit")
-		exit(130)
-	}()
-}
 
 // explicit reports whether a flag was set on the command line.
 func explicit(name string) bool {
@@ -225,25 +196,6 @@ func listSubjects() {
 	}
 }
 
-func lookup(name string) registry.Entry {
-	entry, ok := registry.Get(name)
-	if !ok {
-		fail("unknown subject %q (have %s)", name, strings.Join(registry.Names(), ", "))
-	}
-	return entry
-}
-
-// shimWrap swaps an entry's execution vehicle for an out-of-process
-// host driving shimBin children, registering the kill-all cleanup.
-func shimWrap(entry registry.Entry, shimBin string) (registry.Entry, *shim.Host) {
-	host, err := shim.NewHost(shim.CmdLauncher{Path: shimBin}, shim.Options{Subject: entry.Name})
-	if err != nil {
-		fail("%v", err)
-	}
-	onExit(host.Close)
-	return shim.WrapEntry(entry, host), host
-}
-
 func flagConfig(subject string, seed int64, execs, maxValids int,
 	mine bool, mineBudget, mineTokens, mineCadence int, mineFrom string) core.Config {
 	cfg := core.Config{
@@ -253,19 +205,19 @@ func flagConfig(subject string, seed int64, execs, maxValids int,
 	}
 	if mineFrom != "" {
 		if !mine {
-			fail("-mine-from needs -mine")
+			exits.Fail("-mine-from needs -mine")
 		}
 		prev, err := corpus.Open(mineFrom)
 		if err != nil {
-			fail("%v", err)
+			exits.Fail("%v", err)
 		}
 		if prev.Meta().Subject != subject {
-			fail("-mine-from %s holds a %s corpus, but -subject is %s: a foreign-language grammar would only generate invalid candidates",
+			exits.Fail("-mine-from %s holds a %s corpus, but -subject is %s: a foreign-language grammar would only generate invalid candidates",
 				mineFrom, prev.Meta().Subject, subject)
 		}
 		cfg.MineSeeds = prev.ValidInputs()
 		if err := prev.Close(); err != nil {
-			fail("%v", err)
+			exits.Fail("%v", err)
 		}
 		fmt.Fprintf(os.Stderr, "seeding grammar from %d valids in %s\n",
 			len(cfg.MineSeeds), mineFrom)
@@ -273,50 +225,16 @@ func flagConfig(subject string, seed int64, execs, maxValids int,
 	return cfg
 }
 
-// events wires the campaign's event stream to stdout and the journal.
-func events(store *corpus.Store, quiet bool) func(core.Event) {
+// printValids streams each valid input to stdout, unless quiet.
+func printValids(quiet bool) func(core.Event) {
+	if quiet {
+		return nil
+	}
 	return func(ev core.Event) {
-		if ev.Kind != core.EventValid {
-			return
-		}
-		if store != nil {
-			if err := store.AppendValid(ev.Execs, ev.Input); err != nil {
-				fail("%v", err)
-			}
-		}
-		if !quiet {
+		if ev.Kind == core.EventValid {
 			fmt.Printf("%8d  %q\n", ev.Execs, ev.Input)
 		}
 	}
-}
-
-// fresh builds a new campaign from flags, creating the journal if
-// -out was given.
-func fresh(cfg core.Config, subjectName, outPath string, quiet bool, shimBin string) *campaignRun {
-	entry := lookup(subjectName)
-	cfg.MineLexer = entry.Lexer
-	var host *shim.Host
-	if shimBin != "" {
-		entry, host = shimWrap(entry, shimBin)
-	}
-	var store *corpus.Store
-	if outPath != "" {
-		var err error
-		store, err = corpus.Create(outPath, corpus.Meta{
-			Subject: entry.Name, Tool: "pFuzzer", Seed: cfg.Seed, MaxExecs: cfg.MaxExecs,
-		})
-		if err != nil {
-			fail("%v", err)
-		}
-		onExit(func() {
-			if err := store.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "pfuzzer: closing journal: %v\n", err)
-			}
-		})
-	}
-	cfg.Events = events(store, quiet)
-	prog := entry.New()
-	return &campaignRun{camp: core.NewCampaign(prog, cfg), store: store, entry: entry, prog: prog, host: host}
 }
 
 // cacheMode maps the -cache flag to a Restore override: only an
@@ -331,94 +249,29 @@ func cacheMode(on bool) core.CacheMode {
 	return core.CacheOff
 }
 
-// resume reopens a journal (recovering a torn tail if the previous
-// run was killed mid-write), restores the engine from its last
-// snapshot, and re-journals into the same file. Explicit -execs,
-// -valids and -cache override the saved values; everything else comes
-// from the snapshot.
-func resume(path string, execs, maxValids int, cache core.CacheMode, quiet bool, shimBin string) *campaignRun {
-	store, err := corpus.Open(path)
-	if err != nil {
-		fail("%v", err)
-	}
-	onExit(func() {
-		if err := store.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "pfuzzer: closing journal: %v\n", err)
-		}
-	})
-	if n := store.TruncatedBytes(); n > 0 {
-		fmt.Fprintf(os.Stderr, "recovered journal %s: dropped %d bytes of torn tail\n", path, n)
-	}
-	blob := store.Snapshot()
-	if blob == nil {
-		fail("journal %s holds no snapshot to resume from", path)
-	}
-	snap, err := core.UnmarshalSnapshot(blob)
-	if err != nil {
-		fail("%v", err)
-	}
-	entry := lookup(store.Meta().Subject)
-	var host *shim.Host
-	if shimBin != "" {
-		entry, host = shimWrap(entry, shimBin)
-	}
-	over := core.Config{
-		Events:    events(store, quiet),
-		MineLexer: entry.Lexer,
-		Cache:     cache,
-	}
-	if explicit("execs") {
-		over.MaxExecs = execs
-	}
-	if explicit("valids") {
-		over.MaxValids = maxValids
-	}
-	prog := entry.New()
-	camp, err := core.Restore(prog, over, snap)
-	if err != nil {
-		fail("%v", err)
-	}
-	fmt.Fprintf(os.Stderr, "resuming %s at %d execs, %d valids\n",
-		entry.Name, camp.Result().Execs, len(camp.Result().Valids))
-	return &campaignRun{camp: camp, store: store, entry: entry, prog: prog, host: host}
-}
-
-// drive steps the campaign to completion, snapshotting into the
-// journal between slices so a kill at any point loses at most one
-// slice of work. An interrupt stops the loop at a snapshot boundary,
-// after the final snapshot has landed.
-func drive(camp *core.Campaign, store *corpus.Store, snapEvery int) {
-	if snapEvery < 1 {
-		snapEvery = 10000
-	}
+// drive steps the campaign in -snap-every slices, each followed by a
+// snapshot in the journal, so a kill at any point loses at most one
+// slice of work. It stops at the end of the campaign, on an
+// interrupt, on a journal error, or when a step spends nothing (a
+// stuck engine, treated as terminal like Fuzzer.Run and the fleet
+// do).
+func drive(d *campaign.Durable, snapEvery int) error {
 	for {
-		spent, more := camp.Step(snapEvery)
-		if store != nil {
-			blob, err := camp.Snapshot().Marshal()
-			if err != nil {
-				fail("%v", err)
-			}
-			if err := store.AppendSnapshot(blob); err != nil {
-				fail("%v", err)
-			}
-		}
-		// spent == 0 with more: a stuck engine. Treat as terminal like
-		// Fuzzer.Run and the fleet do, instead of journaling snapshots
-		// forever.
-		if !more || spent == 0 || interrupted.Load() {
-			return
+		spent, more, err := d.Step(snapEvery)
+		if err != nil || !more || spent == 0 || interrupted.Load() {
+			return err
 		}
 	}
 }
 
-func (r *campaignRun) summarize() {
-	res, entry := r.camp.Result(), r.entry
+func summarize(d *campaign.Durable) {
+	res, entry, blocks := d.Campaign().Result(), d.Entry(), d.Program().Blocks()
 	if interrupted.Load() {
 		fmt.Printf("\ninterrupted — partial results:")
 	}
 	fmt.Printf("\nsubject=%s execs=%d valids=%d coverage=%d/%d (%.1f%%) elapsed=%v\n",
-		entry.Name, res.Execs, len(res.Valids), len(res.Coverage), r.prog.Blocks(),
-		100*float64(len(res.Coverage))/float64(r.prog.Blocks()), res.Elapsed.Round(time.Millisecond))
+		entry.Name, res.Execs, len(res.Valids), len(res.Coverage), blocks,
+		100*float64(len(res.Coverage))/float64(blocks), res.Elapsed.Round(time.Millisecond))
 	if res.CacheHits+res.CacheMisses > 0 {
 		state := ""
 		if res.CacheRetired {
@@ -428,8 +281,8 @@ func (r *campaignRun) summarize() {
 			res.CacheHits, res.CacheMisses, 100*res.CacheHitRate(), state,
 			res.ExecElapsed.Round(time.Millisecond))
 	}
-	if r.host != nil {
-		st := r.host.Stats()
+	if h := d.Host(); h != nil {
+		st := h.Stats()
 		trip := ""
 		if st.Tripped {
 			trip = " — circuit breaker tripped"

@@ -38,8 +38,8 @@
 // SIGINT or SIGTERM shuts down gracefully: in-flight step slices
 // finish, every live campaign cuts a final snapshot and closes its
 // journal with its spec left running (the next start resumes it), and
-// the HTTP listener drains. A second signal forces immediate exit
-// through the same cleanup stack.
+// the HTTP listener drains. A second signal during that drain forces
+// exit 130 at once.
 package main
 
 import (
@@ -50,12 +50,10 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
-	"sync"
-	"syscall"
 	"time"
 
 	"pfuzzer/internal/daemon"
+	"pfuzzer/internal/exitstack"
 )
 
 func main() {
@@ -74,13 +72,16 @@ func main() {
 	})
 	flag.Parse()
 	if *root == "" {
-		fail("-root is required")
+		exits.Fail("-root is required")
 	}
 	if flag.NArg() != 0 {
-		fail("unexpected arguments")
+		exits.Fail("unexpected arguments")
 	}
 
-	trapSignals()
+	exits.Trap(func() {
+		fmt.Fprintln(os.Stderr, "pfuzzerd: shutting down — parking campaigns at their next slice boundary (signal again to force exit)")
+		exits.Exit(0)
+	})
 
 	srv, err := daemon.New(daemon.Config{
 		Root: *root, Workers: *fleetWorkers, Slice: *slice,
@@ -88,11 +89,11 @@ func main() {
 		AllowShims: allowShims,
 	})
 	if err != nil {
-		fail("%v", err)
+		exits.Fail("%v", err)
 	}
 	// LIFO: the HTTP listener (registered later) drains first, then
 	// the daemon parks its campaigns.
-	onExit(func() {
+	exits.OnExit(func() {
 		if err := srv.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "pfuzzerd: shutdown: %v\n", err)
 		}
@@ -100,10 +101,10 @@ func main() {
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fail("%v", err)
+		exits.Fail("%v", err)
 	}
 	hs := &http.Server{Handler: srv.Handler()}
-	onExit(func() {
+	exits.OnExit(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if err := hs.Shutdown(ctx); err != nil {
@@ -113,72 +114,11 @@ func main() {
 
 	fmt.Fprintf(os.Stderr, "pfuzzerd: serving on %s, state in %s\n", ln.Addr(), *root)
 	if err := hs.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fail("%v", err)
+		exits.Fail("%v", err)
 	}
-	<-shutdownDone // Serve returned because a signal started the shutdown
+	// Serve returned because a signal started the shutdown: wait for
+	// its cleanups to finish.
+	exits.Exit(0)
 }
 
-// The cleanup stack, mirroring cmd/pfuzzer: every resource that must
-// not be abandoned on any exit path registers here, and every exit
-// runs the stack exactly once, LIFO.
-var (
-	cleanupMu   sync.Mutex
-	cleanups    []func()
-	cleanupDone bool
-
-	// shutdownDone closes when a signal-initiated shutdown has
-	// finished its cleanups, releasing main to exit.
-	shutdownDone = make(chan struct{})
-)
-
-// onExit pushes a cleanup to run at process exit.
-func onExit(f func()) {
-	cleanupMu.Lock()
-	defer cleanupMu.Unlock()
-	cleanups = append(cleanups, f)
-}
-
-// runCleanups runs the stack LIFO, once.
-func runCleanups() {
-	cleanupMu.Lock()
-	defer cleanupMu.Unlock()
-	if cleanupDone {
-		return
-	}
-	cleanupDone = true
-	for i := len(cleanups) - 1; i >= 0; i-- {
-		cleanups[i]()
-	}
-}
-
-// exit is the single exit path: cleanups, then the status code.
-func exit(code int) {
-	runCleanups()
-	os.Exit(code)
-}
-
-func fail(msg string, args ...any) {
-	fmt.Fprintf(os.Stderr, "pfuzzerd: "+msg+"\n", args...)
-	exit(2)
-}
-
-// trapSignals installs the graceful-shutdown handler: the first
-// SIGINT/SIGTERM runs the cleanup stack (HTTP drain, final snapshots,
-// journal closes) and exits 0; a second signal during that drain
-// forces an immediate exit.
-func trapSignals() {
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sigc
-		fmt.Fprintln(os.Stderr, "pfuzzerd: shutting down — parking campaigns at their next slice boundary (signal again to force exit)")
-		go func() {
-			<-sigc
-			fmt.Fprintln(os.Stderr, "pfuzzerd: forced exit")
-			os.Exit(130)
-		}()
-		runCleanups()
-		close(shutdownDone)
-		os.Exit(0)
-	}()
-}
+var exits = exitstack.New("pfuzzerd")

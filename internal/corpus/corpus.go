@@ -2,12 +2,12 @@
 // append-only journal of valid inputs and engine snapshots with
 // crash-tolerant recovery.
 //
-// A store backs cmd/pfuzzer's -out/-resume flags and the §7.4 chain
-// across process restarts: valids are journaled as the engine emits
-// them (so the corpus of record survives a kill at any point), and
-// periodic snapshots carry the full engine state (core.Snapshot) so a
-// resumed campaign continues exactly where the last snapshot was
-// taken. A later campaign can also mine a previously saved corpus
+// A store is the journal of campaign.Durable, the one durable-campaign
+// lifecycle that cmd/pfuzzer (-out/-resume) and the pfuzzerd daemon
+// both drive: valids are journaled as the engine emits them (so the
+// corpus of record survives a kill at any point), and periodic
+// snapshots carry the full engine state (core.Snapshot) so a resumed
+// campaign continues exactly where the last snapshot was taken. A later campaign can also mine a previously saved corpus
 // (core.Config.MineSeeds) without resuming it — the reusable
 // token-level corpus that Token-Level Fuzzing shows carrying value
 // across campaigns.

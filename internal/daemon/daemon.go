@@ -1,8 +1,8 @@
 // Package daemon is the fuzzing-as-a-service layer: a long-running
 // server that accepts campaign submissions, multiplexes many tenant
 // campaigns over one campaign.Fleet worker pool under per-tenant
-// execution budgets, persists every campaign's corpus through
-// internal/corpus (journal + periodic snapshots, one directory per
+// execution budgets, keeps every campaign durable through a
+// campaign.Durable (journal + periodic snapshots, one directory per
 // campaign), streams typed engine events to subscribers, and exposes
 // Prometheus-style metrics (DESIGN.md §15).
 //
@@ -11,13 +11,13 @@
 // every SnapEvery executions, so a daemon killed at any point — power
 // cut, kill -9 — restarts, rebuilds its campaign table from the
 // per-campaign spec files, and resumes every in-flight campaign from
-// its last snapshot. Campaign engines are bit-deterministic under
-// their seed at every worker count, and the journal deduplicates by
-// input, so a resumed campaign's corpus converges to exactly the
-// corpus an uninterrupted run would have produced at the same budget
-// (the crash-recovery e2e test pins this). The corpus layer's
-// advisory journal locks keep a concurrent `pfuzzer -resume` on a
-// still-owned directory from corrupting the journal under the daemon.
+// its last snapshot. Campaign engines are deterministic under their
+// seed, and the journal deduplicates by input, so a resumed
+// campaign's corpus converges to exactly the corpus an uninterrupted
+// run would have produced at the same budget (the crash-recovery e2e
+// test pins this). The corpus layer's advisory journal locks keep a
+// concurrent `pfuzzer -resume` on a still-owned directory from
+// corrupting the journal under the daemon.
 package daemon
 
 import (
@@ -342,7 +342,7 @@ func (s *Server) Submit(sub Submission) (Status, error) {
 	// The spec is published only after the journal opened: a crash in
 	// between leaves a spec-less directory the scanner ignores.
 	if err := writeSpec(dir, sp); err != nil {
-		r.closeStores()
+		r.d.Close()       //nolint:errcheck // rollback; nothing ran
 		os.RemoveAll(dir) //nolint:errcheck // best-effort rollback
 		return Status{}, err
 	}
@@ -355,7 +355,7 @@ func (s *Server) Submit(sub Submission) (Status, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		r.closeStores()   //nolint:errcheck // rollback; nothing ran
+		r.d.Close()       //nolint:errcheck // rollback; nothing ran
 		os.RemoveAll(dir) //nolint:errcheck // best-effort rollback
 		return Status{}, ErrShuttingDown
 	}
@@ -365,7 +365,7 @@ func (s *Server) Submit(sub Submission) (Status, error) {
 		delete(s.camps, r.id)
 		s.order = s.order[:len(s.order)-1]
 		s.mu.Unlock()
-		r.closeStores()   //nolint:errcheck // rollback; nothing ran
+		r.d.Close()       //nolint:errcheck // rollback; nothing ran
 		os.RemoveAll(dir) //nolint:errcheck // best-effort rollback
 		return Status{}, err
 	}

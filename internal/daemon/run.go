@@ -1,16 +1,13 @@
 package daemon
 
 import (
-	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
 
 	"pfuzzer/internal/campaign"
 	"pfuzzer/internal/core"
-	"pfuzzer/internal/corpus"
 	"pfuzzer/internal/registry"
-	"pfuzzer/internal/shim"
 )
 
 // run is one campaign under daemon management: the engine, its
@@ -32,18 +29,14 @@ type run struct {
 	ten *tenant
 	sub Submission
 
-	job   *campaign.Job
-	hub   *hub
-	camp  *core.Campaign
-	store *corpus.Store
-	host  *shim.Host
-
-	sinceSnap int // execs since the last snapshot; owner-goroutine only
+	job *campaign.Job
+	hub *hub
+	d   *campaign.Durable // engine, journal and shim host
 
 	mu      sync.Mutex
 	st      Status
 	settled bool  // finalized: retired naturally or parked by Close
-	err     error // first journal/engine error; fails the campaign
+	err     error // the journal error Step stopped on; fails the campaign
 }
 
 // tenantName normalizes the empty tenant to the default domain.
@@ -105,133 +98,70 @@ func (r *run) settle(sp *Spec) {
 	defer r.mu.Unlock()
 	r.settled = true
 	r.st = st
-	r.camp, r.job = nil, nil
+	r.d, r.job = nil, nil
 }
 
-// wrapShim swaps the entry's execution vehicle for an out-of-process
-// host when the submission asks for one.
-func (r *run) wrapShim(entry registry.Entry) (registry.Entry, error) {
-	if len(r.sub.Shim) == 0 {
-		return entry, nil
+// durableOptions is how the daemon keeps and runs a campaign: its
+// journal in the campaign directory, its submission's shim and
+// snapshot cadence, and its events published to the SSE hub.
+func (r *run) durableOptions() campaign.DurableOptions {
+	return campaign.DurableOptions{
+		Journal: journalPath(r.dir), Tool: "pfuzzerd",
+		Shim: r.sub.Shim, ShimStderr: r.srv.cfg.Log,
+		SnapEvery: r.sub.SnapEvery, Events: r.publish,
 	}
-	if r.sub.Shim[0] == "" {
-		return entry, errors.New("daemon: empty shim binary path")
-	}
-	// Submit already vetted the argv, but resume must re-vet: the spec
-	// on disk may predate this daemon's (possibly tightened) allowlist,
-	// and an unlisted shim must fail the resume loudly, not execute.
-	if err := r.srv.cfg.checkShim(r.sub.Shim); err != nil {
-		return entry, err
-	}
-	host, err := shim.NewHost(
-		shim.CmdLauncher{Path: r.sub.Shim[0], Args: r.sub.Shim[1:], Stderr: r.srv.cfg.Log},
-		shim.Options{Subject: entry.Name})
-	if err != nil {
-		return entry, err
-	}
-	r.host = host
-	return shim.WrapEntry(entry, host), nil
 }
 
-// coreEvents is the engine's event sink: valids go to the journal
-// first (the corpus of record), then everything forwardable goes to
-// the SSE hub. Runs on the stepping worker during camp.Step.
-func (r *run) coreEvents(ev core.Event) {
-	if ev.Kind == core.EventValid && r.store != nil {
-		if err := r.store.AppendValid(ev.Execs, ev.Input); err != nil {
-			r.setErr(err)
-		}
-	}
+// engineConfig is the engine configuration a submission asks for.
+func (sub *Submission) engineConfig() core.Config {
+	return core.Config{Seed: sub.Seed, MaxExecs: sub.MaxExecs, MinePhase: sub.Mine}
+}
+
+// publish forwards an engine event to the SSE hub. Runs on the
+// stepping worker during Step, after the Durable journaled it.
+func (r *run) publish(ev core.Event) {
 	if wev, ok := wireEvent(ev); ok {
 		r.hub.publish(wev)
 	}
-}
-
-// setErr records the first internal error; the next Step boundary
-// fails the campaign with it.
-func (r *run) setErr(err error) {
-	r.mu.Lock()
-	if r.err == nil {
-		r.err = err
-	}
-	r.mu.Unlock()
 }
 
 // freshRun opens a new campaign: journal created, engine built from
 // the submission, events wired.
 func (s *Server) freshRun(sp *Spec, entry registry.Entry, ten *tenant, dir string) (*run, error) {
 	r := newRun(s, sp, ten)
-	entry, err := r.wrapShim(entry)
+	r.dir = dir
+	d, err := campaign.NewDurable(entry.Name, sp.engineConfig(), r.durableOptions())
 	if err != nil {
 		return nil, err
 	}
-	store, err := corpus.Create(journalPath(dir), corpus.Meta{
-		Subject: entry.Name, Tool: "pfuzzerd", Seed: sp.Seed, MaxExecs: sp.MaxExecs,
-	})
-	if err != nil {
-		r.closeHost()
-		return nil, err
-	}
-	r.store = store
-	cfg := core.Config{
-		Seed: sp.Seed, MaxExecs: sp.MaxExecs,
-		MinePhase: sp.Mine, MineLexer: entry.Lexer, Events: r.coreEvents,
-	}
-	r.camp = core.NewCampaign(entry.New(), cfg)
+	r.d = d
 	return r, nil
 }
 
-// resumeRun reopens a campaign the previous daemon left running:
-// journal recovery (torn tails dropped), engine restored from the
-// last snapshot — or rebuilt from scratch when the campaign died
-// before its first snapshot, which the journal's dedup-by-input
-// convergence makes equivalent. Already-spent executions are
-// re-charged to the tenant, since budget accounting does not survive
-// the process.
+// resumeRun reopens a campaign the previous daemon left running from
+// its journal — restored from the last snapshot, or rebuilt from the
+// submission when the campaign died before its first one.
+// Already-spent executions are re-charged to the tenant, since budget
+// accounting does not survive the process.
 func (s *Server) resumeRun(sp *Spec) (*run, error) {
-	entry, ok := registry.Get(sp.Subject)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownSubject, sp.Subject)
+	// Submit vetted the shim argv, but resume must re-vet: the spec on
+	// disk may predate this daemon's (possibly tightened) allowlist,
+	// and an unlisted shim must fail the resume loudly, not execute.
+	if err := s.cfg.checkShim(sp.Shim); err != nil {
+		return nil, err
 	}
 	ten := s.tenantFor(sp.Tenant)
 	r := newRun(s, sp, ten)
-	entry, err := r.wrapShim(entry)
+	fresh := sp.engineConfig()
+	d, err := campaign.ResumeDurable(core.Config{}, &fresh, r.durableOptions())
 	if err != nil {
 		return nil, err
 	}
-	store, err := corpus.Open(journalPath(r.dir))
-	if err != nil {
-		r.closeHost()
-		return nil, err
-	}
-	r.store = store
-	if n := store.TruncatedBytes(); n > 0 {
+	if n := d.TruncatedBytes(); n > 0 {
 		fmt.Fprintf(s.cfg.Log, "pfuzzerd: recovered %s journal: dropped %d bytes of torn tail\n", sp.ID, n)
 	}
-	if blob := store.Snapshot(); blob != nil {
-		snap, err := core.UnmarshalSnapshot(blob)
-		if err != nil {
-			r.closeStores()
-			return nil, err
-		}
-		over := core.Config{Events: r.coreEvents, MineLexer: entry.Lexer}
-		r.camp, err = core.Restore(entry.New(), over, snap)
-		if err != nil {
-			r.closeStores()
-			return nil, err
-		}
-	} else {
-		// Killed before the first snapshot: start the engine over. The
-		// replayed prefix re-journals the same valids, which dedup
-		// collapses, so the corpus still converges to the uninterrupted
-		// run's.
-		cfg := core.Config{
-			Seed: sp.Seed, MaxExecs: sp.MaxExecs,
-			MinePhase: sp.Mine, MineLexer: entry.Lexer, Events: r.coreEvents,
-		}
-		r.camp = core.NewCampaign(entry.New(), cfg)
-	}
-	ten.charge(r.camp.Result().Execs)
+	r.d = d
+	ten.charge(d.Campaign().Result().Execs)
 	r.mu.Lock()
 	r.refreshLocked()
 	r.mu.Unlock()
@@ -239,55 +169,30 @@ func (s *Server) resumeRun(sp *Spec) (*run, error) {
 }
 
 // Step implements campaign.Runner: reserve the slice against the
-// tenant budget, advance the engine, settle what was actually spent,
-// snapshot on cadence, publish fresh status. Returning more=false
-// retires the job, which triggers retire below.
+// tenant budget, advance the campaign (journal and snapshot cadence
+// included), settle what was actually spent, publish fresh status.
+// Returning more=false retires the job, which triggers retire below.
 func (r *run) Step(n int) (spent int, more bool) {
 	granted := r.ten.reserve(n)
 	if granted == 0 {
 		return 0, false // tenant budget exhausted: retire where it stands
 	}
-	spent, more = r.camp.Step(granted)
+	spent, more, err := r.d.Step(granted)
 	r.ten.settle(granted, spent)
-
 	r.mu.Lock()
-	err := r.err
-	r.mu.Unlock()
+	defer r.mu.Unlock()
 	if err != nil {
-		return spent, false // a journal append failed mid-step; fail the campaign
+		r.err = err
+		return spent, false // the journal failed; retire fails the campaign
 	}
-
-	r.sinceSnap += spent
-	if r.sinceSnap >= r.sub.SnapEvery {
-		// The retire hook cuts the final snapshot, so the cadence only
-		// matters mid-flight.
-		if err := r.cutSnapshot(); err != nil {
-			r.setErr(err)
-			return spent, false
-		}
-		r.sinceSnap = 0
-	}
-	r.mu.Lock()
 	r.refreshLocked()
-	r.mu.Unlock()
 	return spent, more
-}
-
-// cutSnapshot publishes the engine's current state into the journal
-// sidecar. Owner goroutine only (between Steps, or after the pool
-// drained).
-func (r *run) cutSnapshot() error {
-	blob, err := r.camp.Snapshot().Marshal()
-	if err != nil {
-		return err
-	}
-	return r.store.AppendSnapshot(blob)
 }
 
 // refreshLocked re-derives the published Status from the engine
 // result. Callers hold r.mu and own the engine (no concurrent Step).
 func (r *run) refreshLocked() {
-	res := r.camp.Result()
+	res := r.d.Campaign().Result()
 	r.st.Execs = res.Execs
 	r.st.Valids = len(res.Valids)
 	r.st.CoverageBlocks = len(res.Coverage)
@@ -304,11 +209,11 @@ func (r *run) status() Status {
 	return r.st
 }
 
-// retire finalizes a campaign the fleet has retired: final snapshot,
-// journal closed (releasing its lock), shim children killed, terminal
-// state and every final counter persisted, the entry settled from
-// that spec (dropping the engine), the event stream closed with a
-// terminal event. Runs on the retiring worker's goroutine, outside
+// retire finalizes a campaign the fleet has retired: the Durable
+// closed (final snapshot, journal lock released, shim children
+// killed), terminal state and every final counter persisted, the
+// entry settled from that spec (dropping the engine), the event
+// stream closed with a terminal event. Runs on the retiring worker's goroutine, outside
 // the fleet lock.
 func (r *run) retire(j *campaign.Job) {
 	r.mu.Lock()
@@ -327,14 +232,11 @@ func (r *run) retire(j *campaign.Job) {
 	case j.Cancelled():
 		state = StateCancelled
 	}
-	if serr := r.cutSnapshot(); serr != nil && state != StateFailed {
-		state, msg = StateFailed, serr.Error()
-	}
-	if cerr := r.closeStores(); cerr != nil && state != StateFailed {
+	if cerr := r.d.Close(); cerr != nil && state != StateFailed {
 		state, msg = StateFailed, cerr.Error()
 	}
 
-	res := r.camp.Result()
+	res := r.d.Campaign().Result()
 	sp := &Spec{
 		ID: r.id, Submission: r.sub, State: state, Error: msg,
 		FinalExecs: res.Execs, FinalValids: len(res.Valids),
@@ -354,9 +256,9 @@ func (r *run) retire(j *campaign.Job) {
 }
 
 // park is the graceful-shutdown finalizer for a campaign the pool
-// stopped mid-flight: cut a final snapshot, close the journal and the
-// shim host, leave the spec in the running state so the next daemon
-// resumes it. Called only after Pool.Stop drained the workers.
+// stopped mid-flight: close the Durable (final snapshot, journal and
+// shim host closed), leave the spec in the running state so the next
+// daemon resumes it. Called only after Pool.Stop drained the workers.
 func (r *run) park() error {
 	r.mu.Lock()
 	if r.settled {
@@ -366,33 +268,7 @@ func (r *run) park() error {
 	r.settled = true
 	r.mu.Unlock()
 
-	var errs []error
-	if err := r.cutSnapshot(); err != nil {
-		errs = append(errs, err)
-	}
-	if err := r.closeStores(); err != nil {
-		errs = append(errs, err)
-	}
+	err := r.d.Close()
 	r.hub.close()
-	return errors.Join(errs...)
-}
-
-// closeHost kills the run's shim children, if any.
-func (r *run) closeHost() {
-	if r.host != nil {
-		r.host.Close()
-		r.host = nil
-	}
-}
-
-// closeStores closes the journal (releasing its advisory lock) and
-// the shim host.
-func (r *run) closeStores() error {
-	var err error
-	if r.store != nil {
-		err = r.store.Close()
-		r.store = nil
-	}
-	r.closeHost()
 	return err
 }

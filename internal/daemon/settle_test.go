@@ -163,7 +163,7 @@ func TestSettledEnginesCollectable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("freshRun: %v", err)
 		}
-		runtime.SetFinalizer(r.camp, func(any) { freed.Add(1) })
+		runtime.SetFinalizer(r.d.Campaign(), func(any) { freed.Add(1) })
 		s.adopt(r)
 		if err := s.pool.Submit(r.job); err != nil {
 			t.Fatalf("pool Submit: %v", err)
