@@ -24,7 +24,10 @@
 // resumes with -resume from the journal's last snapshot; the resumed
 // campaign re-finds exactly the valids lost after that snapshot, so
 // the journal converges to the uninterrupted run's corpus at the same
-// total budget. -mine-from seeds the -mine grammar from a previously
+// total budget. If a journal write fails, pfuzzer finishes the current
+// slice, cuts no further snapshot, prints the summary and exits 2; a
+// -resume picks up at the last snapshot before the failure.
+// -mine-from seeds the -mine grammar from a previously
 // saved corpus without resuming it — the §7.4 chain (fuzz, mine,
 // generate) across process restarts.
 //
@@ -141,10 +144,11 @@ func main() {
 	}
 
 	err = drive(d, *snapEvery)
-	if err = errors.Join(err, d.Close()); err != nil {
+	err = errors.Join(err, d.Close())
+	summarize(d)
+	if err != nil {
 		exits.Fail("%v", err)
 	}
-	summarize(d)
 	if interrupted.Load() {
 		exits.Exit(130)
 	}
@@ -254,7 +258,9 @@ func cacheMode(on bool) core.CacheMode {
 // slice of work. It stops at the end of the campaign, on an
 // interrupt, on a journal error, or when a step spends nothing (a
 // stuck engine, treated as terminal like Fuzzer.Run and the fleet
-// do).
+// do). A journal error surfaces at the end of the slice it happened
+// in: the rest of that slice still runs and prints its valids, and
+// no snapshot is cut after it.
 func drive(d *campaign.Durable, snapEvery int) error {
 	for {
 		spent, more, err := d.Step(snapEvery)

@@ -95,13 +95,16 @@ func NewDurable(subjectName string, cfg core.Config, opts DurableOptions) (*Dura
 		return nil, err
 	}
 	if opts.Journal != "" {
-		d.store, err = corpus.Create(opts.Journal, corpus.Meta{
+		// Through a local: a failed Create's nil *Store in the journal
+		// field would be a non-nil interface that Close dereferences.
+		store, err := corpus.Create(opts.Journal, corpus.Meta{
 			Subject: d.entry.Name, Tool: opts.Tool, Seed: cfg.Seed, MaxExecs: cfg.MaxExecs,
 		})
 		if err != nil {
 			d.Close() //nolint:errcheck // releasing the shim host; nothing ran
 			return nil, err
 		}
+		d.store = store
 	}
 	d.camp = core.NewCampaign(d.prog, d.wire(cfg))
 	return d, nil

@@ -3,14 +3,39 @@ package campaign
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
+	"syscall"
 	"testing"
 
 	"pfuzzer/internal/core"
 	"pfuzzer/internal/corpus"
 	"pfuzzer/internal/registry"
+	"pfuzzer/internal/shim"
 )
+
+// TestMain doubles as a shim child for the lifecycle tests: with
+// PFCAMPAIGN_SHIM_PIDS set, the test binary appends its pid to that
+// file and serves the shim protocol on stdio like cmd/pshim, running
+// no tests.
+func TestMain(m *testing.M) {
+	if pids := os.Getenv("PFCAMPAIGN_SHIM_PIDS"); pids != "" {
+		f, err := os.OpenFile(pids, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+		if err != nil {
+			os.Exit(2)
+		}
+		fmt.Fprintln(f, os.Getpid())
+		f.Close()
+		if err := shim.Serve(os.Stdin, os.Stdout, shim.ServeConfig{Lookup: registry.NewProgram}); err != nil {
+			os.Exit(2)
+		}
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
 
 // durableCases are the campaigns the lifecycle tests run: one plain,
 // one hybrid.
@@ -252,5 +277,67 @@ func TestDurableJournalFailure(t *testing.T) {
 	}
 	if !bytes.Equal(after, good) {
 		t.Fatalf("a snapshot was published after the journal failed")
+	}
+}
+
+// TestDurableCreateFailure opens fresh campaigns whose journal cannot
+// be created — its directory is missing, or another Store holds it —
+// with and without a shim: NewDurable must return the error, not
+// panic, and must leave no shim child running.
+func TestDurableCreateFailure(t *testing.T) {
+	dir := t.TempDir()
+	held := filepath.Join(dir, "held")
+	holder, err := corpus.Create(held, corpus.Meta{Subject: "cjson"})
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	defer holder.Close()
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatalf("os.Executable: %v", err)
+	}
+	journals := []struct{ name, path string }{
+		{"missing-dir", filepath.Join(dir, "no-such-dir", "j")},
+		{"locked", held},
+	}
+	for _, j := range journals {
+		for _, withShim := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/shim=%v", j.name, withShim), func(t *testing.T) {
+				opts := DurableOptions{Journal: j.path}
+				pids := filepath.Join(t.TempDir(), "pids")
+				if withShim {
+					t.Setenv("PFCAMPAIGN_SHIM_PIDS", pids)
+					opts.Shim = []string{exe}
+				}
+				d, err := NewDurable("cjson", core.Config{Seed: 1, MaxExecs: 100}, opts)
+				if err == nil {
+					d.Close()
+					t.Fatalf("NewDurable over an uncreatable journal succeeded")
+				}
+				if j.name == "locked" && !errors.Is(err, corpus.ErrLocked) {
+					t.Fatalf("NewDurable = %v, want ErrLocked", err)
+				}
+				if !withShim {
+					return
+				}
+				b, err := os.ReadFile(pids)
+				if err != nil {
+					t.Fatalf("no shim child was spawned: %v", err)
+				}
+				for _, line := range strings.Fields(string(b)) {
+					pid, err := strconv.Atoi(line)
+					if err != nil {
+						t.Fatalf("pid file: %v", err)
+					}
+					if err := syscall.Kill(pid, 0); !errors.Is(err, syscall.ESRCH) {
+						syscall.Kill(pid, syscall.SIGKILL) //nolint:errcheck // reap the leak
+						t.Errorf("shim child %d still running after the failed open (kill 0: %v)", pid, err)
+					}
+				}
+			})
+		}
+	}
+	if err := holder.AppendValid(1, []byte("{}")); err != nil {
+		t.Fatalf("the held journal broke: %v", err)
 	}
 }

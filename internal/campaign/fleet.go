@@ -24,10 +24,6 @@
 // and retirement — for any reason — fires the job's OnRetire hook
 // outside the fleet lock, so finalization work (final snapshots,
 // journal closes) never stalls the scheduler.
-//
-// Durable is one campaign's crash-safe lifecycle — subject lookup,
-// optional shim host, journal, snapshot cadence, resume — shared by
-// cmd/pfuzzer and internal/daemon (DESIGN.md §8.2).
 package campaign
 
 import (
