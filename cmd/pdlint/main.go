@@ -1,4 +1,4 @@
-// Command pdlint runs the project's static-analysis suite: five
+// Command pdlint runs the project's static-analysis suite: four
 // analyzers that enforce the determinism and subject contracts
 // DESIGN.md §12 documents, over the package scopes where each contract
 // binds. CI runs `go run ./cmd/pdlint ./...` and fails on any
@@ -22,7 +22,6 @@ import (
 	"sort"
 	"strings"
 
-	"pfuzzer/internal/analysis/atomicfield"
 	"pfuzzer/internal/analysis/enginerand"
 	"pfuzzer/internal/analysis/maprange"
 	"pfuzzer/internal/analysis/pdlint"
@@ -64,7 +63,6 @@ var scopes = map[string][]string{
 	"maprange":     engineScope,
 	"walltime":     engineScope,
 	"enginerand":   engineScope,
-	"atomicfield":  {"pfuzzer"},
 	"subjecttrace": {"pfuzzer/internal/subjects"},
 }
 
@@ -103,7 +101,6 @@ func run(stdout, stderr *os.File, args []string) int {
 		maprange.Analyzer,
 		walltime.New(walltimeSinks...),
 		enginerand.Analyzer,
-		atomicfield.Analyzer,
 		subjecttrace.Analyzer,
 	}
 	names := make([]string, len(suite))

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"pfuzzer/internal/subject"
 	"pfuzzer/internal/subjects/cjson"
 	"pfuzzer/internal/subjects/expr"
+	"pfuzzer/internal/subjects/mjs"
 	"pfuzzer/internal/trace"
 )
 
@@ -55,5 +57,49 @@ func TestFactsDistillAllocBudget(t *testing.T) {
 		factsOfInto(&rf, rec, true)
 	}); n > 4 {
 		t.Errorf("deriving distillation allocates %.1f/op in steady state, want <= 4", n)
+	}
+}
+
+// TestCampaignAllocBudget pins a whole campaign's allocations per
+// execution (BenchmarkCampaignPerExec's workload). Writing each child
+// into the input arena, instead of allocating the child, a dedup key
+// and a map slot, took the figure from 7.56 to 4.97; the budget is
+// that plus one of headroom.
+func TestCampaignAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation budgets assume an uninstrumented build")
+	}
+	const execs = 4000
+	var ran int
+	n := testing.AllocsPerRun(2, func() {
+		ran = New(expr.New(), Config{Seed: 42, MaxExecs: execs}).Run().Execs
+	})
+	if perExec := n / float64(ran); perExec > 5.97 {
+		t.Errorf("an expr campaign allocates %.2f/exec, want <= 5.97", perExec)
+	}
+}
+
+// TestRetainedBytesPerInput pins what a campaign keeps alive per
+// enqueued input: the live heap after a forced collection at the end of
+// an mjs campaign, its engine still referenced, over the inputs its
+// arena holds. With a seen map, a key string, a child slice and an
+// 80-byte candidate per input the figure was 213 B; with the arena and
+// 32-byte candidates it is 127 B. The bound sits halfway.
+func TestRetainedBytesPerInput(t *testing.T) {
+	if testing.Short() {
+		t.Skip("heap budgets assume an uninstrumented build")
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f := New(mjs.New(), Config{Seed: 1, MaxExecs: 20000})
+	f.Run()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	inputs := f.inputs.len()
+	runtime.KeepAlive(f)
+	perInput := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(inputs)
+	if perInput > 170 {
+		t.Errorf("an mjs campaign retains %.0f B per enqueued input (%d inputs), want <= 170", perInput, inputs)
 	}
 }

@@ -81,8 +81,8 @@ type cachedFacts struct {
 
 // derivedFacts is the deriving-run half of the memo: what addChildren
 // and emitValid consume. All slices are owned by the entry (factsOf
-// copies them out of the sink-backed record), so candidates may alias
-// them freely.
+// copies them out of the sink-backed record), so parent facts may
+// alias them freely.
 type derivedFacts struct {
 	stack     float64
 	blocks    []uint32

@@ -86,11 +86,11 @@ func factsOfInto(rf *runFacts, rec *trace.Record, deriving bool) *runFacts {
 		}
 		slices.Sort(rf.trimmed)
 		// The final-index comparisons are the one piece of the record
-		// the engine retains beyond the execution (candidates alias
-		// their replacement bytes; cache entries store them in derived
-		// facts), while the record's comparison bytes live in the
-		// sink's reusable arena — so copy the selected comparisons out,
-		// with all their byte payloads packed into one fresh blob.
+		// the engine retains beyond the execution (cache entries store
+		// them in derived facts), while the record's comparison bytes
+		// live in the sink's reusable arena — so copy the selected
+		// comparisons out, with all their byte payloads packed into one
+		// fresh blob.
 		last := rec.LastComparedIndex()
 		n, total := 0, 0
 		for i := range rec.Comparisons {
@@ -282,21 +282,25 @@ func (f *Fuzzer) addChildren(rf *runFacts, depth, parentMineGen int, push func(*
 		if c.Matched && len(cand) == len(c.Actual) && string(cand) == string(c.Actual) {
 			continue // no-op substitution
 		}
-		child := substitute(rf.input, c, cand)
-		if len(child) > f.cfg.MaxLen {
+		// The child is written straight into the arena's tail; a
+		// duplicate is dropped by not committing it.
+		s, e := replaced(rf.input, c)
+		n := s + len(cand) + len(rf.input) - e
+		if n > f.cfg.MaxLen {
 			continue
 		}
-		key := string(child)
-		if _, dup := f.seen[key]; dup {
+		substitute(f.inputs.tail(n), rf.input, s, e, cand)
+		pos, added := f.inputs.commit(n, s)
+		if !added {
 			continue
 		}
-		f.seen[key] = struct{}{}
 		push(&candidate{
-			input:       child,
-			replacement: cand,
-			parent:      pf,
-			parents:     depth,
-			mineGen:     childGen,
+			parent:  pf,
+			pos:     pos,
+			n:       uint32(n),
+			replLen: uint32(len(cand)),
+			parents: int32(depth),
+			mineGen: int32(childGen),
 		})
 	}
 }

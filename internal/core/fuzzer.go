@@ -218,14 +218,19 @@ func (r *Result) ValidInputs() [][]byte {
 
 // candidate is a queued input together with the parent-run facts the
 // heuristic needs, stored so scores can be recomputed without
-// re-running the subject (§3.2).
+// re-running the subject (§3.2). Its bytes live in the campaign's
+// input arena at pos; it keeps their length, and only the length of
+// the substituted value ("c" in Algorithm 1), which is all score reads
+// (the value's bytes are a slice of the input, see span.sub). At 32
+// bytes it is the campaign's most numerous heap object.
 type candidate struct {
-	input       []byte
-	replacement []byte       // the substituted value ("c" in Algorithm 1)
-	parent      *parentFacts // parent-run facts, shared by all siblings (nil: restart or mined input)
-	parents     int          // substitutions on the search path so far
-	retries     int          // times this input was already extended
-	mineGen     int          // mined lineage: 0 = ordinary, 1 = generated from the grammar, k = repair descendant k-1 substitutions later
+	parent  *parentFacts // parent-run facts, shared by all siblings (nil: restart or mined input)
+	pos     uint32       // arena position of the input
+	n       uint32       // input length
+	replLen uint32       // length of the substituted value
+	parents int32        // substitutions on the search path so far
+	retries int32        // times this input was already extended
+	mineGen int32        // mined lineage: 0 = ordinary, 1 = generated from the grammar, k = repair descendant k-1 substitutions later
 }
 
 // parentFacts is the parent-run data every child derived from one
@@ -251,6 +256,11 @@ type parentFacts struct {
 }
 
 // Fuzzer is one parser-directed fuzzing campaign over a subject.
+// Every input it ever enqueued sits once in its input arena
+// (arena.go), which is both Algorithm 1's dedup set and the bytes of
+// the queued candidates: a candidate holds an arena position, and a
+// pointer-free hash index over the arena answers "seen before?" by
+// comparing bytes, so dedup is exact.
 type Fuzzer struct {
 	cfg          Config
 	prog         subject.Program
@@ -266,8 +276,8 @@ type Fuzzer struct {
 	vbrGen uint64   // bumped on every emitted valid (parentFacts.covGen)
 
 	queue     pqueue.Queue[*candidate]
-	seen      map[string]struct{} // inputs ever enqueued or run
-	pathSeen  map[uint64]*int     // executions per path hash (pointer-valued so parentFacts can alias the counters)
+	inputs    inputArena      // every input ever enqueued, once: the dedup set and the candidates' bytes
+	pathSeen  map[uint64]*int // executions per path hash (pointer-valued so parentFacts can alias the counters)
 	validSeen map[string]struct{}
 
 	res        Result
@@ -311,7 +321,7 @@ func New(prog subject.Program, cfg Config) *Fuzzer {
 		cs:        cs,
 		cache:     newCache(&c),
 		vbrGen:    1, // start past the memo zero value
-		seen:      make(map[string]struct{}),
+		inputs:    newInputArena(),
 		pathSeen:  make(map[uint64]*int),
 		validSeen: make(map[string]struct{}),
 	}
@@ -459,8 +469,7 @@ func (f *Fuzzer) randChar() byte {
 
 // byteLits holds one stable single-byte literal per byte value, so
 // replacement picks for range and set comparisons need no allocation;
-// the slices are read-only by convention (candidates alias them for
-// the life of the campaign).
+// the slices are read-only by convention.
 var byteLits = func() [256][1]byte {
 	var t [256][1]byte
 	for i := range t {
@@ -504,20 +513,22 @@ func (f *Fuzzer) pick(c *trace.Comparison) (_ []byte, ok bool) {
 	return nil, false
 }
 
-// substitute replaces the span of comparison c in input with cand.
-func substitute(input []byte, c *trace.Comparison, cand []byte) []byte {
-	s, e := c.Index, c.Last
-	if s < 0 || s > len(input) {
-		return append(append([]byte{}, input...), cand...)
+// replaced returns the half-open range [s, e) of input that a
+// substitution for comparison c replaces: c's span clamped to the
+// input, or the empty range at its end when c starts outside it.
+func replaced(input []byte, c *trace.Comparison) (s, e int) {
+	if c.Index < 0 || c.Index > len(input) {
+		return len(input), len(input)
 	}
-	if e >= len(input) {
-		e = len(input) - 1
-	}
-	out := make([]byte, 0, s+len(cand)+len(input)-e-1)
-	out = append(out, input[:s]...)
-	out = append(out, cand...)
-	out = append(out, input[e+1:]...)
-	return out
+	return c.Index, min(c.Last+1, len(input))
+}
+
+// substitute writes input[:s] + cand + input[e:] into dst, which must
+// be exactly that long.
+func substitute(dst, input []byte, s, e int, cand []byte) {
+	n := copy(dst, input[:s])
+	n += copy(dst[n:], cand)
+	copy(dst[n:], input[e:])
 }
 
 // Mined-candidate scoring: a fresh mined candidate beats any
@@ -536,10 +547,10 @@ const (
 // mineScore is the queue priority of a candidate with mined lineage.
 func mineScore(c *candidate) float64 {
 	base := mineScoreBase
-	for g := 1; g < c.mineGen && base >= 1; g++ {
+	for g := int32(1); g < c.mineGen && base >= 1; g++ {
 		base /= 2
 	}
-	return base - mineRetryDecay*float64(c.retries) - float64(len(c.input))
+	return base - mineRetryDecay*float64(c.retries) - float64(c.n)
 }
 
 // pathCnt returns the live execution counter for path hash h,
@@ -593,7 +604,7 @@ func (f *Fuzzer) score(c *candidate) float64 {
 		return mineScore(c)
 	}
 	if f.cfg.BFS {
-		return -float64(len(c.input))
+		return -float64(c.n)
 	}
 	p := c.parent
 	newBlocks := 0
@@ -615,10 +626,10 @@ func (f *Fuzzer) score(c *candidate) float64 {
 		return s
 	}
 	if !f.cfg.NoLengthTerm {
-		s -= float64(len(c.input))
+		s -= float64(c.n)
 	}
 	if !f.cfg.NoReplacementBonus {
-		s += 2 * float64(len(c.replacement))
+		s += 2 * float64(c.replLen)
 	}
 	if !f.cfg.NoStackTerm && p != nil {
 		s -= p.stack

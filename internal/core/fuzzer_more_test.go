@@ -29,9 +29,15 @@ func TestSubstitute(t *testing.T) {
 		{"(tr", trace.Comparison{Index: 1, Last: 2}, "true", "(true"},
 		// Span end beyond input length is clamped.
 		{"ab", trace.Comparison{Index: 1, Last: 5}, "ZZ", "aZZ"},
+		// A span starting outside the input appends.
+		{"ab", trace.Comparison{Index: 7, Last: 7}, "Z", "abZ"},
+		{"ab", trace.Comparison{Index: -1, Last: 0}, "Z", "abZ"},
 	}
 	for _, c := range cases {
-		got := substitute([]byte(c.input), &c.cmp, []byte(c.cand))
+		in := []byte(c.input)
+		s, e := replaced(in, &c.cmp)
+		got := make([]byte, s+len(c.cand)+len(in)-e)
+		substitute(got, in, s, e, []byte(c.cand))
 		if string(got) != c.want {
 			t.Errorf("substitute(%q, [%d..%d], %q) = %q, want %q",
 				c.input, c.cmp.Index, c.cmp.Last, c.cand, got, c.want)

@@ -349,12 +349,11 @@ func (f *Fuzzer) enqueueMined(g *mine.Grammar, maxTokens, slice int) int {
 		if len(gen) > f.cfg.MaxLen {
 			continue
 		}
-		key := string(gen)
-		if _, dup := f.seen[key]; dup {
+		pos, added := f.inputs.add(gen, 0)
+		if !added {
 			continue
 		}
-		f.seen[key] = struct{}{}
-		cd := &candidate{input: gen, mineGen: 1}
+		cd := &candidate{pos: pos, n: uint32(len(gen)), mineGen: 1}
 		f.queue.Push(cd, f.score(cd))
 		pushed++
 	}

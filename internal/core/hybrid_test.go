@@ -38,7 +38,7 @@ func maxValidLen(res *Result) int {
 }
 
 // TestRunPanicsOnReuse pins the single-campaign contract: a second
-// Run would silently continue on dirty state (seen, vBr, res) and
+// Run would silently continue on dirty state (inputs, vBr, res) and
 // double-count executions, so it must panic instead.
 func TestRunPanicsOnReuse(t *testing.T) {
 	f := New(tinyc.New(), Config{Seed: 1, MaxExecs: 200})

@@ -50,9 +50,9 @@ func (f *Fuzzer) runSerial() {
 			f.curMineGen = 0
 			f.sCur = nil
 		} else {
-			f.sInput = next.input
-			f.curParents = next.parents
-			f.curMineGen = next.mineGen
+			f.sInput = f.inputs.input(next.pos)
+			f.curParents = int(next.parents)
+			f.curMineGen = int(next.mineGen)
 			f.sCur = next
 			f.sCurScore = score
 			if f.cfg.Events != nil {

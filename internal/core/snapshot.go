@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"time"
@@ -197,18 +198,11 @@ type Snapshot struct {
 	ParentTable []SnapParent    `json:"-"`
 	Queue       []SnapCandidate `json:"-"` // in insertion (FIFO tie-break) order
 	SCur        *SnapCandidate  `json:"-"` // candidate SInput was popped as
-
-	// invalid records a campaign invariant the encoding relies on that
-	// Snapshot found broken; Marshal refuses to write such an image.
-	invalid error
 }
 
 // Marshal encodes the snapshot in the binary version 2 layout for
 // persistence (see internal/corpus and snapcodec.go).
 func (s *Snapshot) Marshal() ([]byte, error) {
-	if s.invalid != nil {
-		return nil, s.invalid
-	}
 	if s.Version != snapshotVersion {
 		return nil, fmt.Errorf("core: snapshot version %d, this build writes %d", s.Version, snapshotVersion)
 	}
@@ -296,9 +290,11 @@ func (c *Campaign) Snapshot() *Snapshot {
 	var lastParent *parentFacts
 	lastIdx := 0
 	snapCand := func(cd *candidate, score float64) SnapCandidate {
+		in := f.inputs.input(cd.pos)
+		sub := f.inputs.sub(cd.pos)
 		sc := SnapCandidate{
-			Input: cd.input, Replacement: cd.replacement,
-			Parents: cd.parents, Retries: cd.retries, MineGen: cd.mineGen,
+			Input: in, Replacement: in[sub : sub+int(cd.replLen)],
+			Parents: int(cd.parents), Retries: int(cd.retries), MineGen: int(cd.mineGen),
 			Score: score,
 		}
 		if p := cd.parent; p != nil {
@@ -315,31 +311,20 @@ func (c *Campaign) Snapshot() *Snapshot {
 		}
 		return sc
 	}
-	// Seen keeps the dedup-set inputs the queue does not hold. An FNV
-	// index over the queued inputs finds those without copying each one
-	// into a second string set; a hit is confirmed byte for byte, so a
-	// hash collision can only leave a queued input in Seen as well,
-	// which Restore's union absorbs.
+	// Seen keeps the arena inputs the queue does not hold: a bitset over
+	// arena positions, marked from the queued candidates, picks them out.
 	items := f.queue.Dump()
 	s.Queue = make([]SnapCandidate, len(items))
-	queued := make(map[uint64]int32, len(items))
+	queued := make([]uint64, (f.inputs.len()+63)/64)
 	for i, it := range items {
-		in := it.Value.input
-		if _, ok := f.seen[string(in)]; !ok && s.invalid == nil {
-			// Restore rebuilds the dedup set as Seen plus the queue, so
-			// a queued input the campaign never marked seen would come
-			// back marked, and the resumed search would diverge.
-			s.invalid = fmt.Errorf("core: snapshot: queued input %q is missing from the dedup set", in)
-		}
-		if h := fnv64(in); queued[h] == 0 {
-			queued[h] = int32(i + 1)
-		}
+		pos := it.Value.pos
+		queued[pos/64] |= 1 << (pos % 64)
 		s.Queue[i] = snapCand(it.Value, it.Score)
 	}
-	//pdlint:ordered -- a filtered collect; s.Seen is sorted right below
-	for k := range f.seen {
-		if i := queued[fnv64(k)]; i == 0 || string(items[i-1].Value.input) != k {
-			s.Seen = append(s.Seen, []byte(k))
+	s.Seen = make([][]byte, 0, f.inputs.len()-len(items))
+	for pos := range uint32(f.inputs.len()) {
+		if queued[pos/64]&(1<<(pos%64)) == 0 {
+			s.Seen = append(s.Seen, f.inputs.input(pos))
 		}
 	}
 	slices.SortFunc(s.Seen, bytes.Compare)
@@ -360,16 +345,6 @@ func (c *Campaign) Snapshot() *Snapshot {
 		}
 	}
 	return s
-}
-
-// fnv64 is FNV-1a over an input's bytes.
-func fnv64[T string | []byte](b T) uint64 {
-	h := fpOffset
-	for i := 0; i < len(b); i++ {
-		h ^= uint64(b[i])
-		h *= fpPrime
-	}
-	return h
 }
 
 // maxDrawsPerExec and maxRNGDraws bound the RNG position Restore will
@@ -424,8 +399,15 @@ func (s *Snapshot) validate() error {
 		if sc.Parent < 0 || sc.Parent > len(s.ParentTable) {
 			return fmt.Errorf("parent index %d outside a table of %d", sc.Parent, len(s.ParentTable))
 		}
-		if sc.Parents < 0 || sc.Retries < 0 || sc.MineGen < 0 {
-			return fmt.Errorf("negative parents %d, retries %d or mine_gen %d", sc.Parents, sc.Retries, sc.MineGen)
+		for _, v := range []int{sc.Parents, sc.Retries, sc.MineGen} {
+			if v < 0 || v > math.MaxInt32 {
+				return fmt.Errorf("parents %d, retries %d or mine_gen %d outside [0, 2^31)", sc.Parents, sc.Retries, sc.MineGen)
+			}
+		}
+		if !bytes.Contains(sc.Input, sc.Replacement) {
+			// A substitution child holds its replacement, and a candidate
+			// keeps only where in its input the replacement sits.
+			return fmt.Errorf("replacement %q is not part of input %q", sc.Replacement, sc.Input)
 		}
 		return nil
 	}
@@ -540,9 +522,6 @@ func Restore(prog subject.Program, cfg Config, s *Snapshot) (*Campaign, error) {
 	for _, id := range s.VBr {
 		f.vBr.add(id)
 	}
-	for _, k := range s.Seen {
-		f.seen[string(k)] = struct{}{}
-	}
 	for _, pc := range s.PathSeen {
 		n := pc.Count
 		f.pathSeen[pc.Hash] = &n
@@ -563,26 +542,42 @@ func Restore(prog subject.Program, cfg Config, s *Snapshot) (*Campaign, error) {
 		p := &s.ParentTable[i]
 		parents[i] = &parentFacts{blks: p.Blks, stack: p.Stack, path: p.Path}
 	}
-	candidate := func(sc *SnapCandidate) *candidate {
+	// The candidates enter the arena before Seen does, so each records
+	// where its own replacement starts; Seen then adds the inputs they
+	// lack (a version 1 Seen also repeats the queued ones).
+	candidate := func(sc *SnapCandidate) (*candidate, error) {
+		pos, added := f.inputs.add(sc.Input, bytes.Index(sc.Input, sc.Replacement))
+		if !added {
+			return nil, fmt.Errorf("input %q is queued twice", sc.Input)
+		}
 		cd := &candidate{
-			input: sc.Input, replacement: sc.Replacement,
-			parents: sc.Parents, retries: sc.Retries, mineGen: sc.MineGen,
+			pos: pos, n: uint32(len(sc.Input)), replLen: uint32(len(sc.Replacement)),
+			parents: int32(sc.Parents), retries: int32(sc.Retries), mineGen: int32(sc.MineGen),
 		}
 		if sc.Parent > 0 {
 			cd.parent = parents[sc.Parent-1]
 		}
-		return cd
+		return cd, nil
 	}
 	if s.SCur != nil {
-		f.sCur = candidate(s.SCur)
+		cd, err := candidate(s.SCur)
+		if err != nil {
+			return nil, fmt.Errorf("core: restoring snapshot: s_cur: %w", err)
+		}
+		f.sCur = cd
 		f.sCurScore = s.SCur.Score
 	}
-	// Every candidate restores into the exact queue in snapshot order,
-	// and back into the dedup set Seen leaves it out of.
+	// Every candidate restores into the exact queue in snapshot order.
 	for i := range s.Queue {
 		e := &s.Queue[i]
-		f.seen[string(e.Input)] = struct{}{}
-		f.queue.Push(candidate(e), e.Score)
+		cd, err := candidate(e)
+		if err != nil {
+			return nil, fmt.Errorf("core: restoring snapshot: queue[%d]: %w", i, err)
+		}
+		f.queue.Push(cd, e.Score)
+	}
+	for _, k := range s.Seen {
+		f.inputs.add(k, 0)
 	}
 
 	if s.Hybrid != nil {

@@ -90,6 +90,22 @@ func BenchmarkSnapshotCut(b *testing.B) {
 	reportSnapSize(b, blobs, paths)
 }
 
+// BenchmarkSnapshotWalk times Campaign.Snapshot alone, the in-memory
+// walk of BenchmarkSnapshotCut, over the same mix. One op walks all 80
+// campaigns.
+func BenchmarkSnapshotWalk(b *testing.B) {
+	camps := snapMix()
+	b.ResetTimer()
+	for range b.N {
+		for _, c := range camps {
+			snapSink = c.Snapshot()
+		}
+	}
+}
+
+// snapSink keeps BenchmarkSnapshotWalk's result live.
+var snapSink *Snapshot
+
 // BenchmarkSnapshotResume times what a restarted daemon does per
 // campaign: corpus.Open (journal recovery and the sidecar's gunzip),
 // UnmarshalSnapshot and Restore. One op resumes all 80 campaigns.

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -220,35 +219,25 @@ func TestSnapshotSharesParents(t *testing.T) {
 }
 
 // TestSnapshotSeenMinusQueue: Seen leaves out every queued input, and
-// Restore puts them back, reproducing the dedup set exactly.
+// Restore puts them back, reproducing the arena's inputs exactly.
 func TestSnapshotSeenMinusQueue(t *testing.T) {
 	c := snapFixtures[1].cut()
 	snap := c.Snapshot()
-	if len(snap.Seen)+len(snap.Queue) != len(c.f.seen) {
-		t.Fatalf("seen %d + queued %d != dedup set %d", len(snap.Seen), len(snap.Queue), len(c.f.seen))
+	if len(snap.Seen)+len(snap.Queue) != c.f.inputs.len() {
+		t.Fatalf("seen %d + queued %d != arena %d", len(snap.Seen), len(snap.Queue), c.f.inputs.len())
 	}
 	r, err := Restore(expr.New(), Config{}, snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.f.seen) != len(c.f.seen) {
-		t.Fatalf("restored dedup set has %d inputs, want %d", len(r.f.seen), len(c.f.seen))
+	if r.f.inputs.len() != c.f.inputs.len() {
+		t.Fatalf("restored arena holds %d inputs, want %d", r.f.inputs.len(), c.f.inputs.len())
 	}
-	for k := range c.f.seen {
-		if _, ok := r.f.seen[k]; !ok {
-			t.Fatalf("restored dedup set lacks %q", k)
+	for pos := range uint32(c.f.inputs.len()) {
+		in := c.f.inputs.input(pos)
+		if _, added := r.f.inputs.add(in, 0); added {
+			t.Fatalf("restored arena lacks %q", in)
 		}
-	}
-}
-
-// TestMarshalRejectsUnseenQueuedInput: a queued input missing from the
-// dedup set would come back marked seen, so the cut refuses to encode.
-func TestMarshalRejectsUnseenQueuedInput(t *testing.T) {
-	c := snapFixtures[0].cut()
-	items := c.f.queue.Dump()
-	delete(c.f.seen, string(items[len(items)/2].Value.input))
-	if _, err := c.Snapshot().Marshal(); err == nil || !strings.Contains(err.Error(), "dedup set") {
-		t.Fatalf("Marshal = %v, want the dedup-set invariant error", err)
 	}
 }
 
@@ -269,6 +258,9 @@ func TestRestoreRejectsBadFields(t *testing.T) {
 		{"parent index past the table", func(s *Snapshot) { s.Queue[0].Parent = len(s.ParentTable) + 1 }},
 		{"negative parent index", func(s *Snapshot) { s.Queue[0].Parent = -1 }},
 		{"negative retries", func(s *Snapshot) { s.Queue[1].Retries = -1 }},
+		{"retries past int32", func(s *Snapshot) { s.Queue[1].Retries = 1 << 31 }},
+		{"replacement outside the input", func(s *Snapshot) { s.Queue[2].Replacement = append(s.Queue[2].Input, 'x') }},
+		{"input queued twice", func(s *Snapshot) { s.Queue[3] = s.Queue[0] }},
 		{"bad cursor parent", func(s *Snapshot) { s.SCur.Parent = 1 << 40 }},
 		{"hybrid fed past the valids", func(s *Snapshot) { s.Hybrid.Fed = len(s.Valids) + 1 }},
 		{"unknown hybrid stage", func(s *Snapshot) { s.Hybrid.Stage = 99 }},
@@ -336,7 +328,9 @@ func TestUnmarshalRejectsMalformed(t *testing.T) {
 // the version 2 cut whose header carries the retired parallel-engine
 // knobs).
 // Neither may panic or hang, and every version 2 blob the decoder
-// accepts must re-encode to the same bytes.
+// accepts must re-encode to the same bytes. A campaign Restore builds
+// (its input arena from the blob's Seen and queue bytes) must then step
+// 64 executions without panicking.
 func FuzzSnapshotDecode(f *testing.F) {
 	for _, fx := range snapFixtures {
 		for _, version := range []string{"v1", "v2"} {
@@ -370,6 +364,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		}
 		if c, err := Restore(expr.New(), Config{}, s); err == nil {
 			c.Fingerprint()
+			c.Step(64)
 		}
 	})
 }

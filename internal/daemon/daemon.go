@@ -302,8 +302,7 @@ func (s *Server) Submit(sub Submission) (Status, error) {
 		sub.Tenant = "default"
 	}
 	sub.Workers = 0 // decoded and ignored; see Submission.Workers
-	entry, ok := registry.Get(sub.Subject)
-	if !ok {
+	if _, ok := registry.Get(sub.Subject); !ok {
 		return Status{}, fmt.Errorf("%w: %q", ErrUnknownSubject, sub.Subject)
 	}
 	if err := s.cfg.checkShim(sub.Shim); err != nil {
@@ -334,7 +333,7 @@ func (s *Server) Submit(sub Submission) (Status, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return Status{}, fmt.Errorf("daemon: creating campaign dir: %w", err)
 	}
-	r, err := s.freshRun(sp, entry, ten, dir)
+	r, err := s.freshRun(sp, ten)
 	if err != nil {
 		os.RemoveAll(dir) //nolint:errcheck // best-effort rollback of the empty dir
 		return Status{}, err

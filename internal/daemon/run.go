@@ -7,7 +7,6 @@ import (
 
 	"pfuzzer/internal/campaign"
 	"pfuzzer/internal/core"
-	"pfuzzer/internal/registry"
 )
 
 // run is one campaign under daemon management: the engine, its
@@ -127,10 +126,9 @@ func (r *run) publish(ev core.Event) {
 
 // freshRun opens a new campaign: journal created, engine built from
 // the submission, events wired.
-func (s *Server) freshRun(sp *Spec, entry registry.Entry, ten *tenant, dir string) (*run, error) {
+func (s *Server) freshRun(sp *Spec, ten *tenant) (*run, error) {
 	r := newRun(s, sp, ten)
-	r.dir = dir
-	d, err := campaign.NewDurable(entry.Name, sp.engineConfig(), r.durableOptions())
+	d, err := campaign.NewDurable(sp.Subject, sp.engineConfig(), r.durableOptions())
 	if err != nil {
 		return nil, err
 	}

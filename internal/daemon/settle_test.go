@@ -11,8 +11,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"pfuzzer/internal/registry"
 )
 
 // campaignSeries renders /metrics and keeps the series labelled with
@@ -142,7 +140,6 @@ func TestRetiredCounterSpecLoadsSettled(t *testing.T) {
 // every engine is garbage.
 func TestSettledEnginesCollectable(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 2, Slice: 512})
-	entry, _ := registry.Get("expr")
 	const n = 20
 	var freed atomic.Int32
 	ids := make([]string, n)
@@ -159,7 +156,7 @@ func TestSettledEnginesCollectable(t *testing.T) {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		r, err := s.freshRun(sp, entry, s.tenantFor(sub.Tenant), dir)
+		r, err := s.freshRun(sp, s.tenantFor(sub.Tenant))
 		if err != nil {
 			t.Fatalf("freshRun: %v", err)
 		}

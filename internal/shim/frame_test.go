@@ -282,3 +282,118 @@ func TestParseTrailingBytes(t *testing.T) {
 		}
 	}
 }
+
+// seedFrames returns one encoded frame per message of the round-trip
+// tests above, plus a whole execution's reply stream: FuzzShimFrame's
+// checked-in seeds.
+func seedFrames(t testing.TB) [][]byte {
+	t.Helper()
+	frame := func(typ byte, payload []byte) []byte {
+		var b bytes.Buffer
+		if err := writeFrame(&b, typ, payload); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	cmp := appendCmp(nil, cmpMsg{Kind: trace.CmpStrEq, Matched: true, Stack: 2, Index: 5, Last: 9,
+		Actual: []byte("while"), Expected: []byte("while")})
+	result := appendResult(nil, resultMsg{Exit: 1, MaxAccess: 41, LenUsed: true, MaxDepth: 17})
+	var stream []byte
+	for _, f := range [][]byte{
+		frame(fCmp, cmp),
+		frame(fEOF, appendEOF(nil, eofMsg{Stack: 1, Index: -3})),
+		frame(fBlocks, appendBlocks(nil, []uint32{7, 7, 9, 1 << 30})),
+		frame(fResult, result),
+	} {
+		stream = append(stream, f...)
+	}
+	return [][]byte{
+		frame(fHello, appendHello(nil, helloMsg{Version: 1, Blocks: 4242, Name: "ini"})),
+		frame(fExec, appendExec(nil, execMsg{ExecSteps: 1000, Input: []byte("while(1){}")})),
+		frame(fCmp, cmp),
+		frame(fCmp, appendCmp(nil, cmpMsg{Kind: trace.CmpCharRange, Matched: true, Stack: 1, Index: 2, Last: 2,
+			Actual: []byte("5"), Expected: []byte("09")})),
+		frame(fCmp, appendCmp(nil, cmpMsg{Kind: trace.CmpCharSet, Stack: 9, Index: 4, Last: 4,
+			Actual: []byte("z"), Expected: []byte(" \t\n")})),
+		frame(fEOF, appendEOF(nil, eofMsg{Stack: 12, Index: 1 << 40})),
+		frame(fBlocks, appendBlocks(nil, nil)),
+		frame(fResult, result),
+		frame(fFail, []byte("unknown subject")),
+		stream,
+	}
+}
+
+// FuzzShimFrame feeds arbitrary bytes, as a child's reply stream, to
+// readFrame and each frame's payload to the parser for its type. The
+// CRC keeps a mutated frame away from the parsers, so the bytes also
+// go to them directly, the first byte as the frame type. Nothing may
+// panic, and every payload a parser accepts must re-encode to its own
+// bytes through the matching append function.
+func FuzzShimFrame(f *testing.F) {
+	for _, b := range seedFrames(f) {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var buf []byte
+		r := bytes.NewReader(raw)
+		for {
+			typ, payload, err := readFrame(r, &buf)
+			if err != nil {
+				break
+			}
+			checkPayloadRoundTrip(t, typ, payload)
+		}
+		if len(raw) > 0 {
+			checkPayloadRoundTrip(t, raw[0], raw[1:])
+		}
+	})
+}
+
+// checkPayloadRoundTrip parses p as a frame of type typ and, if the
+// parser accepts it, checks that it re-encodes to p.
+func checkPayloadRoundTrip(t *testing.T, typ byte, p []byte) {
+	var again []byte
+	switch typ {
+	case fHello:
+		m, err := parseHello(p)
+		if err != nil {
+			return
+		}
+		again = appendHello(nil, m)
+	case fExec:
+		m, err := parseExec(p)
+		if err != nil {
+			return
+		}
+		again = appendExec(nil, m)
+	case fCmp:
+		m, err := parseCmp(p)
+		if err != nil {
+			return
+		}
+		again = appendCmp(nil, m)
+	case fEOF:
+		m, err := parseEOF(p)
+		if err != nil {
+			return
+		}
+		again = appendEOF(nil, m)
+	case fBlocks:
+		ids, err := parseBlocks(p, nil)
+		if err != nil {
+			return
+		}
+		again = appendBlocks(nil, ids)
+	case fResult:
+		m, err := parseResult(p)
+		if err != nil {
+			return
+		}
+		again = appendResult(nil, m)
+	default:
+		return
+	}
+	if !bytes.Equal(again, p) {
+		t.Fatalf("frame %q payload %x re-encodes to %x", typ, p, again)
+	}
+}

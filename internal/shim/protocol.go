@@ -136,6 +136,17 @@ func (c *cursor) bytes() []byte {
 	return v
 }
 
+// flag reads a flags byte whose only defined bit is bit 0. A set
+// reserved bit is a protocol error, so every accepted payload
+// re-encodes to its own bytes.
+func (c *cursor) flag() bool {
+	b := c.u8()
+	if b&^1 != 0 && c.err == nil {
+		c.err = protoErrf("reserved flag bits %#02x", b)
+	}
+	return b&1 != 0
+}
+
 // done checks that the payload was consumed exactly.
 func (c *cursor) done() error {
 	if c.err != nil {
@@ -186,13 +197,11 @@ func appendCmp(dst []byte, m cmpMsg) []byte {
 
 func parseCmp(p []byte) (cmpMsg, error) {
 	c := cursor{b: p}
-	m := cmpMsg{
-		Kind:    trace.CmpKind(c.u8()),
-		Matched: c.u8()&1 != 0,
-		Stack:   c.u32(),
-		Index:   c.u32(),
-		Last:    c.u32(),
-	}
+	m := cmpMsg{Kind: trace.CmpKind(c.u8())}
+	m.Matched = c.flag()
+	m.Stack = c.u32()
+	m.Index = c.u32()
+	m.Last = c.u32()
 	m.Actual = c.bytes()
 	m.Expected = c.bytes()
 	if err := c.done(); err != nil {
@@ -312,7 +321,7 @@ func appendResult(dst []byte, m resultMsg) []byte {
 func parseResult(p []byte) (resultMsg, error) {
 	c := cursor{b: p}
 	m := resultMsg{Exit: int32(c.u32()), MaxAccess: int64(c.u64())}
-	m.LenUsed = c.u8()&1 != 0
+	m.LenUsed = c.flag()
 	m.MaxDepth = c.u32()
 	if err := c.done(); err != nil {
 		return m, err
