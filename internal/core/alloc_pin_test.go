@@ -40,10 +40,13 @@ func TestSinkExecuteAllocFree(t *testing.T) {
 }
 
 // TestFactsDistillAllocBudget pins the deriving-run distillation at
-// its designed floor: the three retained slices (trimmed blocks, the
-// final-index comparison headers, their packed byte blob) plus one of
-// headroom for block-count growth; everything else must come from the
-// caller's scratch.
+// its designed floor. A memoised distillation allocates the three
+// slices a cache entry keeps (trimmed blocks, the final-index
+// comparison headers, their packed byte blob) plus one of headroom for
+// block-count growth. A scratch-backed one, the path of a campaign
+// without a live cache, allocates only the trimmed blocks its
+// children's parentFacts keep; everything else must come from the
+// scratch.
 func TestFactsDistillAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation budgets assume an uninstrumented build")
@@ -54,9 +57,15 @@ func TestFactsDistillAllocBudget(t *testing.T) {
 	rec := subject.ExecuteInto(prog, input, traceOpts(), &sink)
 	var rf runFacts
 	if n := testing.AllocsPerRun(200, func() {
-		factsOfInto(&rf, rec, true)
+		factsOfInto(&rf, rec, true, nil)
 	}); n > 4 {
 		t.Errorf("deriving distillation allocates %.1f/op in steady state, want <= 4", n)
+	}
+	var scratch distillScratch
+	if n := testing.AllocsPerRun(200, func() {
+		factsOfInto(&scratch.rf, rec, true, &scratch)
+	}); n != 1 {
+		t.Errorf("scratch-backed deriving distillation allocates %.1f/op in steady state, want 1", n)
 	}
 }
 
@@ -76,6 +85,25 @@ func TestCampaignAllocBudget(t *testing.T) {
 	})
 	if perExec := n / float64(ran); perExec > 5.97 {
 		t.Errorf("an expr campaign allocates %.2f/exec, want <= 5.97", perExec)
+	}
+}
+
+// TestCampaignAllocBudgetCacheOff is TestCampaignAllocBudget without
+// the cache, the path a campaign takes once its cache retires: nothing
+// memoises a run's facts, so the distillation reuses the trajectory's
+// scratch. That took the figure from 4.53 to 2.93; the budget is that
+// plus one.
+func TestCampaignAllocBudgetCacheOff(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation budgets assume an uninstrumented build")
+	}
+	const execs = 4000
+	var ran int
+	n := testing.AllocsPerRun(2, func() {
+		ran = New(expr.New(), Config{Seed: 42, MaxExecs: execs, Cache: CacheOff}).Run().Execs
+	})
+	if perExec := n / float64(ran); perExec > 3.93 {
+		t.Errorf("an expr campaign without a cache allocates %.2f/exec, want <= 3.93", perExec)
 	}
 }
 

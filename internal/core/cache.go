@@ -165,48 +165,46 @@ const maxDecidedPrefix = 64
 // hit/miss verdict, same counters — so fingerprints, corpora and
 // retire milestones are unchanged; only the per-iteration hash work
 // drops from two passes over the input to one.
+//
+// A retired cache is treated as no cache: every lookup would miss and
+// every admission would be dropped, so the run skips the lookup, the
+// deciding-prefix scan and the derived-facts copies, and distills into
+// the scratch's reused arrays. The caller still counts the run as a
+// miss.
 func cachedExec(cache *pcache.Cache[cachedFacts], prog subject.Program,
 	input []byte, deriving bool, sink *trace.Sink,
-	hint *extHint, scratch *runFacts) (rf *runFacts, hit bool) {
-	var slot pcache.Ref
-	upgrade := false
-	if cache != nil {
-		if deriving && hint.stored && len(input) > hint.prevLen && !cache.Retired() {
-			e := hint.entry
-			hint.clear()
-			return e.runFactsInto(scratch, input), true
-		}
-		var e cachedFacts
-		var ref pcache.Ref
-		var ok bool
-		if deriving && hint.ref.Missed() && len(input) > hint.prevLen {
-			e, ref, ok = cache.GetExt(hint.ref, input[hint.prevLen:])
-		} else {
-			e, ref, ok = cache.Get(input)
-		}
+	hint *extHint, scratch *distillScratch) (rf *runFacts, hit bool) {
+	if cache == nil || cache.Retired() {
+		rec := subject.ExecuteInto(prog, input, traceOpts(), sink)
+		return factsOfInto(&scratch.rf, rec, deriving, scratch), false
+	}
+	if deriving && hint.stored && len(input) > hint.prevLen {
+		e := hint.entry
 		hint.clear()
-		if ok {
-			if e.derived != nil {
-				return e.runFactsInto(scratch, input), true
-			}
-			if !deriving {
-				// Slim entries are always rejections, whose verdict and
-				// path hash are all a non-deriving caller consumes.
-				return e.runFactsInto(scratch, input), true
-			}
-			upgrade = true
+		return e.runFactsInto(&scratch.rf, input), true
+	}
+	var e cachedFacts
+	var slot pcache.Ref
+	var ok bool
+	if deriving && hint.ref.Missed() && len(input) > hint.prevLen {
+		e, slot, ok = cache.GetExt(hint.ref, input[hint.prevLen:])
+	} else {
+		e, slot, ok = cache.Get(input)
+	}
+	hint.clear()
+	if ok {
+		// Slim entries are always rejections, whose verdict and path
+		// hash are all a non-deriving caller consumes.
+		if e.derived != nil || !deriving {
+			return e.runFactsInto(&scratch.rf, input), true
 		}
-		slot = ref
-	}
-	rec := subject.ExecuteInto(prog, input, traceOpts(), sink)
-	if cache == nil {
-		return factsOfInto(scratch, rec, deriving), false
-	}
-	if upgrade {
-		rf = factsOfInto(scratch, rec, true)
+		// A deriving caller upgrades the slim entry in place.
+		rec := subject.ExecuteInto(prog, input, traceOpts(), sink)
+		rf = factsOfInto(&scratch.rf, rec, true, nil)
 		cache.Set(slot, cachedFacts{accepted: rf.accepted, pathHash: rf.pathHash, derived: derivedOf(rf)})
 		return rf, false
 	}
+	rec := subject.ExecuteInto(prog, input, traceOpts(), sink)
 	d, decided := rec.DecidedPrefix()
 	decided = decided && d <= maxDecidedPrefix
 	// Distill the derived half eagerly when the caller needs it anyway
@@ -218,8 +216,8 @@ func cachedExec(cache *pcache.Cache[cachedFacts], prog subject.Program,
 	// re-execution. Exact-tier rejections from non-deriving runs stay
 	// slim (they serve re-pops, which are non-deriving too) and
 	// upgrade in place on the rare deriving touch.
-	rf = factsOfInto(scratch, rec, deriving || decided)
-	e := cachedFacts{accepted: rf.accepted, pathHash: rf.pathHash}
+	rf = factsOfInto(&scratch.rf, rec, deriving || decided, nil)
+	e = cachedFacts{accepted: rf.accepted, pathHash: rf.pathHash}
 	if deriving || decided || rf.accepted {
 		e.derived = derivedOf(rf)
 	}

@@ -48,24 +48,53 @@ type runFacts struct {
 // hit after the final comparison — error handling — do not count
 // towards a child's new-coverage score.
 func factsOf(rec *trace.Record, deriving bool) *runFacts {
-	return factsOfInto(new(runFacts), rec, deriving)
+	return factsOfInto(new(runFacts), rec, deriving, nil)
+}
+
+// distillScratch is a trajectory's reusable distillation storage: the
+// runFacts every execution fills (see runFactsInto for why one struct
+// per Fuzzer is sound), and the backing arrays of its block set,
+// final-index comparisons and their byte blob.
+type distillScratch struct {
+	rf     runFacts
+	blocks []uint32
+	comps  []trace.Comparison
+	blob   []byte
+}
+
+// reserve returns an empty slice with room for n elements, reusing
+// buf's array when it is large enough.
+func reserve[E any](buf []E, n int) []E {
+	if buf != nil && cap(buf) >= n {
+		return buf[:0]
+	}
+	return make([]E, 0, n)
 }
 
 // factsOfInto is factsOf distilling into a caller-owned struct — the
-// engine passes its per-Fuzzer scratch (see runFactsInto for why that
-// is sound).
-func factsOfInto(rf *runFacts, rec *trace.Record, deriving bool) *runFacts {
+// engine passes its per-Fuzzer scratch. With reuse non-nil, the block
+// set and the final-index comparisons land in reuse's arrays instead
+// of fresh ones; that is only sound when nothing keeps them past the
+// loop iteration, that is when no cache memoises the result. The
+// trimmed blocks are always fresh: every child's parentFacts keeps
+// them.
+func factsOfInto(rf *runFacts, rec *trace.Record, deriving bool, reuse *distillScratch) *runFacts {
 	*rf = runFacts{
 		input:    rec.Input,
 		accepted: rec.Accepted(),
 		pathHash: rec.PathHash,
 	}
+	var fresh distillScratch // no arrays: every slice below is allocated
+	if reuse == nil {
+		reuse = &fresh
+	}
 	if rf.accepted {
-		rf.blocks = make([]uint32, 0, len(rec.BlockFirst))
+		rf.blocks = reserve(reuse.blocks, len(rec.BlockFirst))
 		for id := range rec.BlockFirst {
 			rf.blocks = append(rf.blocks, id)
 		}
 		slices.Sort(rf.blocks) // sort.Slice would allocate its closure + swapper per call
+		reuse.blocks = rf.blocks
 	}
 	if deriving || rf.accepted {
 		rf.stack = rec.AvgStackLastTwo()
@@ -86,11 +115,11 @@ func factsOfInto(rf *runFacts, rec *trace.Record, deriving bool) *runFacts {
 		}
 		slices.Sort(rf.trimmed)
 		// The final-index comparisons are the one piece of the record
-		// the engine retains beyond the execution (cache entries store
-		// them in derived facts), while the record's comparison bytes
-		// live in the sink's reusable arena — so copy the selected
-		// comparisons out, with all their byte payloads packed into one
-		// fresh blob.
+		// the engine may retain beyond the execution (cache entries
+		// store them in derived facts), while the record's comparison
+		// bytes live in the sink's reusable arena — so copy the
+		// selected comparisons out, with all their byte payloads
+		// packed into one blob.
 		last := rec.LastComparedIndex()
 		n, total := 0, 0
 		for i := range rec.Comparisons {
@@ -100,20 +129,21 @@ func factsOfInto(rf *runFacts, rec *trace.Record, deriving bool) *runFacts {
 			}
 		}
 		if n > 0 {
-			out := make([]trace.Comparison, 0, n)
-			blob := make([]byte, 0, total)
+			out := reserve(reuse.comps, n)
+			blob := reserve(reuse.blob, total) // room for all: no append below moves it
 			for i := range rec.Comparisons {
-				c := rec.Comparisons[i]
-				if c.Last != last {
+				if rec.Comparisons[i].Last != last {
 					continue
 				}
+				out = append(out, rec.Comparisons[i])
+				c := &out[len(out)-1]
 				blob = append(blob, c.Actual...)
 				c.Actual = blob[len(blob)-len(c.Actual) : len(blob) : len(blob)]
 				blob = append(blob, c.Expected...)
 				c.Expected = blob[len(blob)-len(c.Expected) : len(blob) : len(blob)]
-				out = append(out, c)
 			}
 			rf.lastComps = out
+			reuse.comps, reuse.blob = out, blob
 		}
 	}
 	return rf

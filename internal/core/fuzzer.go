@@ -270,7 +270,7 @@ type Fuzzer struct {
 	cache        *pcache.Cache[cachedFacts] // prefix-decided execution cache (nil = off)
 	cacheCheckAt int                        // next adaptive-retirement milestone (maybeRetireCache)
 	hint         extHint                    // candidate→extension lookup carry-over (cachedExec)
-	rfScratch    runFacts                   // trajectory's reusable distillation struct (cachedExec)
+	scratch      distillScratch             // trajectory's reusable distillation storage (cachedExec)
 
 	vBr    blockSet // blocks covered by valid inputs
 	vbrGen uint64   // bumped on every emitted valid (parentFacts.covGen)

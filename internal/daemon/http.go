@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 )
 
@@ -43,16 +44,27 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeSubmission decodes a POST /campaigns body: one JSON object
+// naming only Submission's fields, with a subject. The body comes from
+// any client, so it is the daemon's one decoder of untrusted bytes on
+// the network side (FuzzSubmission).
+func decodeSubmission(body io.Reader) (Submission, error) {
 	var sub Submission
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmission))
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&sub); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding submission: %w", err))
-		return
+		return Submission{}, fmt.Errorf("decoding submission: %w", err)
 	}
 	if sub.Subject == "" {
-		writeError(w, http.StatusBadRequest, errors.New("submission needs a subject"))
+		return Submission{}, errors.New("submission needs a subject")
+	}
+	return sub, nil
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	sub, err := decodeSubmission(http.MaxBytesReader(w, r.Body, maxSubmission))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	st, err := s.Submit(sub)
