@@ -1,8 +1,7 @@
 // Package campaign orchestrates fleets of fuzzing campaigns: M
 // resumable campaigns multiplexed over a fixed worker pool through
 // the step-driven engine API (core.Campaign, afl.Fuzzer,
-// klee.Explorer — anything satisfying Runner), under one optional
-// global execution budget.
+// klee.Explorer — anything satisfying Runner).
 //
 // The fleet is what turns the paper's strictly serial evaluation
 // matrix (§5: tools × subjects × repetitions) into a saturating
@@ -14,20 +13,22 @@
 // not perturb the deterministic golden sequences — the property
 // internal/eval's fleet tests pin.
 //
-// Two run modes share one scheduling loop. Fleet.Run (and its
-// cancellable sibling RunContext) takes a fixed job list and returns
-// when it drains — the evaluation-matrix shape. Fleet.Start returns a
-// Pool whose workers park when idle and accept jobs submitted over
-// time — the long-running service shape internal/daemon multiplexes
-// tenant campaigns on. In both modes a job can be cancelled
-// (Job.Cancel) or bounded by its own execution budget (Job.MaxExecs),
-// and retirement — for any reason — fires the job's OnRetire hook
-// outside the fleet lock, so finalization work (final snapshots,
-// journal closes) never stalls the scheduler.
+// Two run modes share one scheduling loop. Fleet.Run takes a fixed
+// job list and returns when it drains — the evaluation-matrix shape.
+// Fleet.Start returns a Pool whose workers park when idle and accept
+// jobs submitted over time — the long-running service shape
+// internal/daemon multiplexes tenant campaigns on. In both modes a job
+// can be cancelled (Job.Cancel), and retirement — for any reason —
+// fires the job's OnRetire hook outside the fleet lock, so
+// finalization work (final snapshots, journal closes) never stalls the
+// scheduler.
+//
+// The fleet enforces no execution budget: each campaign carries its
+// own (core.Config.MaxExecs), and the daemon accounts tenant budgets
+// inside its Runner.
 package campaign
 
 import (
-	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -52,32 +53,15 @@ type Job struct {
 	// runs it in one step — how internal/eval schedules the AFL and
 	// KLEE baselines, whose mutation stages are not slice-invariant.
 	Slice int
-	// MaxExecs bounds this job's own executions (0 = none): the fleet
-	// never hands its Runner more than the remainder and retires the
-	// job when it is spent. This is the per-job half of tenant budget
-	// enforcement — the daemon layers cross-campaign tenant accounting
-	// on top inside its Runner.
-	MaxExecs int
 	// OnRetire, if non-nil, runs exactly once when the fleet retires
-	// the job — finished, cancelled, budget-exhausted, or cut off by
-	// the global budget. It is called on the retiring worker's
-	// goroutine outside the fleet lock, so it may do IO (cut a final
-	// snapshot, close a journal) without stalling other workers.
+	// the job — its campaign ran out of work or it was cancelled. It
+	// is called on the retiring worker's goroutine outside the fleet
+	// lock, so it may do IO (cut a final snapshot, close a journal)
+	// without stalling other workers.
 	OnRetire func(*Job)
 
-	execs  atomic.Int64
-	done   atomic.Bool
 	cancel atomic.Bool
 }
-
-// Execs returns the executions the fleet observed this job spend. It
-// is safe to call from any goroutine while the fleet runs.
-func (j *Job) Execs() int { return int(j.execs.Load()) }
-
-// Done reports whether the fleet retired the job: its campaign ran
-// out of work, it was cancelled, its own or the global budget cut it
-// off. Safe from any goroutine.
-func (j *Job) Done() bool { return j.done.Load() }
 
 // Cancel asks the fleet to retire the job: a queued job retires
 // without stepping again, a job mid-step finishes the current slice
@@ -108,11 +92,6 @@ type Fleet struct {
 	// Smaller slices interleave campaigns more fairly; larger ones
 	// amortize scheduling overhead.
 	Slice int
-	// MaxTotalExecs bounds executions across all jobs (0 = none).
-	// Slices are reserved against it before stepping, so the fleet
-	// overshoots by at most each engine's in-flight pair; jobs still
-	// unfinished when it runs out are retired where they stand.
-	MaxTotalExecs int
 	// OnProgress, if non-nil, observes every job step. Calls are
 	// serialized under the fleet's lock, so the sink needs no
 	// synchronization of its own — and must not block: slow IO
@@ -120,21 +99,11 @@ type Fleet struct {
 	OnProgress func(Progress)
 }
 
-// Run advances every job to completion (or to the global budget) and
-// returns only when all workers have drained. Jobs are queued in the
-// given order and re-queued after each step, so with one worker the
-// schedule is a deterministic round-robin.
+// Run advances every job to completion and returns only when all
+// workers have drained. Jobs are queued in the given order and
+// re-queued after each step, so with one worker the schedule is a
+// deterministic round-robin.
 func (fl *Fleet) Run(jobs []*Job) {
-	fl.RunContext(context.Background(), jobs)
-}
-
-// RunContext is Run with cancellation: when ctx is done, every worker
-// finishes the step slice it is currently executing and returns
-// without popping new work. Jobs not yet retired keep their state —
-// their Runners hold it — and are not marked Done; the caller decides
-// whether to snapshot or resume them. RunContext returns when all
-// workers have drained, in-flight steps included.
-func (fl *Fleet) RunContext(ctx context.Context, jobs []*Job) {
 	if len(jobs) == 0 {
 		return
 	}
@@ -145,34 +114,14 @@ func (fl *Fleet) RunContext(ctx context.Context, jobs []*Job) {
 	s := newFleetState(fl, false)
 	s.ready = append(s.ready, jobs...)
 	s.total = len(jobs)
-
-	stop := make(chan struct{})
-	var watch sync.WaitGroup
-	if ctx.Done() != nil {
-		watch.Add(1)
-		go func() {
-			defer watch.Done()
-			select {
-			case <-ctx.Done():
-				s.mu.Lock()
-				s.stopping = true
-				s.mu.Unlock()
-				s.cond.Broadcast()
-			case <-stop:
-			}
-		}()
-	}
-
 	s.runWorkers(workers).Wait()
-	close(stop)
-	watch.Wait()
 }
 
 // Start launches the fleet in dynamic mode and returns its Pool:
 // workers park when no job is ready instead of exiting, and jobs
 // arrive over time through Pool.Submit. The fixed-list semantics of
-// Run — round-robin re-queueing, budget reservation, OnProgress —
-// are identical.
+// Run — round-robin re-queueing, OnProgress, OnRetire — are
+// identical.
 func (fl *Fleet) Start() *Pool {
 	s := newFleetState(fl, true)
 	workers := fl.Workers
@@ -191,8 +140,8 @@ type Pool struct {
 var ErrStopped = errors.New("campaign: pool is stopped")
 
 // Submit hands a job to the pool. It returns ErrStopped once Stop has
-// been called; otherwise the job runs until it finishes, is
-// cancelled, or exhausts a budget, and then fires its OnRetire hook.
+// been called; otherwise the job runs until it finishes or is
+// cancelled, and then fires its OnRetire hook.
 func (p *Pool) Submit(j *Job) error {
 	s := p.s
 	s.mu.Lock()
@@ -230,16 +179,8 @@ func (p *Pool) QueueDepth() int {
 	return len(s.ready) + s.active
 }
 
-// Execs reports the executions spent across the pool's lifetime.
-func (p *Pool) Execs() int {
-	s := p.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.execs
-}
-
 // fleetState is the orchestrator's shared scheduling state: a FIFO
-// ready queue plus budget accounting, guarded by one mutex (steps do
+// ready queue plus progress counters, guarded by one mutex (steps do
 // the heavy lifting outside it).
 type fleetState struct {
 	fl      *Fleet
@@ -249,13 +190,12 @@ type fleetState struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	stopping bool // RunContext cancellation or Pool.Stop
+	stopping bool // Pool.Stop
 	ready    []*Job
 	total    int
 	active   int // jobs being stepped right now
 	finished int
 	execs    int // executions spent across the fleet
-	reserved int // execs + slices handed to in-flight steps
 }
 
 func newFleetState(fl *Fleet, dynamic bool) *fleetState {
@@ -285,19 +225,6 @@ func (s *fleetState) runWorkers(workers int) *sync.WaitGroup {
 	return &wg
 }
 
-// budgetLeft returns how many executions may still be reserved, or -1
-// for unlimited. Callers hold mu.
-func (s *fleetState) budgetLeft() int {
-	if s.fl.MaxTotalExecs <= 0 {
-		return -1
-	}
-	left := s.fl.MaxTotalExecs - s.reserved
-	if left < 0 {
-		left = 0
-	}
-	return left
-}
-
 // work is one worker's loop: pop the next ready job, step it outside
 // the lock, account the result, re-queue or retire.
 func (s *fleetState) work() {
@@ -318,96 +245,38 @@ func (s *fleetState) work() {
 		s.ready[0] = nil // the backing array must not pin a retired job
 		s.ready = s.ready[1:]
 
-		if j.cancel.Load() {
-			s.retireLocked(j)
+		if !j.cancel.Load() {
+			n := s.slice
+			if j.Slice > 0 {
+				n = j.Slice
+			}
+			s.active++
 			s.mu.Unlock()
-			s.afterRetire(j)
-			s.cond.Broadcast()
-			continue
-		}
 
-		n := s.slice
-		if j.Slice > 0 {
-			n = j.Slice
-		}
-		if j.MaxExecs > 0 {
-			left := j.MaxExecs - int(j.execs.Load())
-			if left <= 0 {
-				// The job's own budget is spent: retire where it stands.
-				s.retireLocked(j)
+			spent, more := j.Runner.Step(n)
+
+			s.mu.Lock()
+			s.active--
+			s.execs += spent
+			if more && spent > 0 && !j.cancel.Load() {
+				s.ready = append(s.ready, j)
+				s.notify(j, false)
 				s.mu.Unlock()
-				s.afterRetire(j)
 				s.cond.Broadcast()
 				continue
 			}
-			if n > left {
-				n = left
-			}
 		}
-		if left := s.budgetLeft(); left >= 0 && n > left {
-			n = left
-		}
-		if n == 0 {
-			if s.active > 0 {
-				// The budget is only transiently zero: in-flight steps
-				// hold reservations they may partly refund. Requeue and
-				// wait for one to settle rather than retiring a job
-				// that refunded budget could still advance.
-				s.ready = append(s.ready, j)
-				s.cond.Wait()
-				s.mu.Unlock()
-				continue
-			}
-			// Global budget truly exhausted: retire the job where it
-			// stands.
-			s.retireLocked(j)
-			s.mu.Unlock()
-			s.afterRetire(j)
-			s.cond.Broadcast()
-			continue
-		}
-		s.active++
-		s.reserved += n
+		// Finished, cancelled — or spinning (spent == 0 with more):
+		// retire rather than loop forever on a stuck campaign. The
+		// hook runs outside mu: it may do IO (final snapshot, journal
+		// close) and must not stall the scheduler.
+		s.finished++
+		s.notify(j, true)
 		s.mu.Unlock()
-
-		spent, more := j.Runner.Step(n)
-
-		s.mu.Lock()
-		s.active--
-		s.reserved += spent - n // refund the unspent reservation
-		s.execs += spent
-		j.execs.Add(int64(spent))
-		exhausted := j.MaxExecs > 0 && int(j.execs.Load()) >= j.MaxExecs
-		if more && spent > 0 && !j.cancel.Load() && !exhausted {
-			s.ready = append(s.ready, j)
-			s.notify(j, false)
-			s.mu.Unlock()
-		} else {
-			// Finished, cancelled, out of its own budget — or spinning
-			// (spent == 0 with more): retire rather than loop forever
-			// on a stuck campaign.
-			s.retireLocked(j)
-			s.mu.Unlock()
-			s.afterRetire(j)
+		if j.OnRetire != nil {
+			j.OnRetire(j)
 		}
 		s.cond.Broadcast()
-	}
-}
-
-// retireLocked marks j done and reports progress. Callers hold mu and
-// must call afterRetire(j) once they have released it.
-func (s *fleetState) retireLocked(j *Job) {
-	j.done.Store(true)
-	s.finished++
-	s.notify(j, true)
-}
-
-// afterRetire fires the job's OnRetire hook. Callers must NOT hold
-// mu: the hook may do IO (final snapshot, journal close) and must not
-// stall the scheduler.
-func (s *fleetState) afterRetire(j *Job) {
-	if j.OnRetire != nil {
-		j.OnRetire(j)
 	}
 }
 

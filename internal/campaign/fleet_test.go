@@ -35,17 +35,18 @@ func (r *fakeRunner) Step(n int) (int, bool) {
 }
 
 // TestFleetRunsAllJobs: every job completes its own budget, no job is
-// stepped by two workers at once, and the fleet's per-job accounting
-// matches what the runners spent.
+// stepped by two workers at once, and each job retires exactly once.
 func TestFleetRunsAllJobs(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			var jobs []*Job
 			var runners []*fakeRunner
-			for i := 0; i < 9; i++ {
+			var retired [9]atomic.Int32
+			for i := range retired {
 				r := &fakeRunner{budget: 10000 + 1000*i}
 				runners = append(runners, r)
-				jobs = append(jobs, &Job{Name: fmt.Sprintf("job%d", i), Runner: r})
+				jobs = append(jobs, &Job{Name: fmt.Sprintf("job%d", i), Runner: r,
+					OnRetire: func(*Job) { retired[i].Add(1) }})
 			}
 			fl := Fleet{Workers: workers, Slice: 1024}
 			fl.Run(jobs)
@@ -56,79 +57,14 @@ func TestFleetRunsAllJobs(t *testing.T) {
 				if r.overlaps.Load() != 0 {
 					t.Errorf("job%d was stepped concurrently %d times", i, r.overlaps.Load())
 				}
-				if !jobs[i].Done() {
-					t.Errorf("job%d not marked done", i)
-				}
-				if jobs[i].Execs() != r.budget {
-					t.Errorf("job%d fleet accounting %d, runner spent %d", i, jobs[i].Execs(), r.budget)
+				if n := retired[i].Load(); n != 1 {
+					t.Errorf("job%d retired %d times, want 1", i, n)
 				}
 				if r.steps < 2 {
 					t.Errorf("job%d ran in %d steps; the fleet should be slicing", i, r.steps)
 				}
 			}
 		})
-	}
-}
-
-// TestFleetGlobalBudget: MaxTotalExecs cuts the fleet off and retires
-// unfinished jobs instead of hanging on them.
-func TestFleetGlobalBudget(t *testing.T) {
-	var jobs []*Job
-	var runners []*fakeRunner
-	for i := 0; i < 4; i++ {
-		r := &fakeRunner{budget: 1 << 30}
-		runners = append(runners, r)
-		jobs = append(jobs, &Job{Name: fmt.Sprintf("job%d", i), Runner: r})
-	}
-	fl := Fleet{Workers: 2, Slice: 500, MaxTotalExecs: 10000}
-	fl.Run(jobs)
-	total := 0
-	for i, r := range runners {
-		total += r.spent
-		if !jobs[i].Done() {
-			t.Errorf("job%d not retired at the global budget", i)
-		}
-	}
-	if total != 10000 {
-		t.Errorf("fleet spent %d execs, global budget is 10000", total)
-	}
-}
-
-// trickleRunner spends far less than any slice it is offered, so its
-// steps refund most of their budget reservation.
-type trickleRunner struct {
-	spent int
-}
-
-func (r *trickleRunner) Step(n int) (int, bool) {
-	if n > 100 {
-		n = 100
-	}
-	r.spent += n
-	return n, true
-}
-
-// TestFleetBudgetRefunds pins that a transiently exhausted budget —
-// fully reserved by in-flight steps that then refund most of it —
-// does not retire jobs early: the fleet must spend the global budget
-// exactly, not strand the refunded part.
-func TestFleetBudgetRefunds(t *testing.T) {
-	const budget = 1000
-	var runners []*trickleRunner
-	var jobs []*Job
-	for i := 0; i < 2; i++ {
-		r := &trickleRunner{}
-		runners = append(runners, r)
-		jobs = append(jobs, &Job{Name: fmt.Sprintf("j%d", i), Runner: r})
-	}
-	fl := Fleet{Workers: 2, Slice: 4096, MaxTotalExecs: budget}
-	fl.Run(jobs)
-	total := 0
-	for _, r := range runners {
-		total += r.spent
-	}
-	if total != budget {
-		t.Errorf("fleet spent %d of the %d global budget; refunded reservations were stranded", total, budget)
 	}
 }
 

@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -30,45 +29,6 @@ func (r *blockingRunner) Step(n int) (int, bool) {
 	<-r.release
 	r.spent.Add(int64(n))
 	return n, true
-}
-
-// TestRunContextFinishesCurrentSlice: cancelling the context lets the
-// in-flight step complete, then every worker returns without popping
-// new work; un-retired jobs are not marked Done.
-func TestRunContextFinishesCurrentSlice(t *testing.T) {
-	r := newBlockingRunner()
-	idle := &fakeRunner{budget: 1 << 30}
-	jobs := []*Job{
-		{Name: "blocked", Runner: r},
-		{Name: "idle", Runner: idle},
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	fl := Fleet{Workers: 1, Slice: 64}
-	go func() {
-		fl.RunContext(ctx, jobs)
-		close(done)
-	}()
-
-	<-r.entered // the worker is inside Step
-	cancel()
-	select {
-	case <-done:
-		t.Fatal("RunContext returned while a step was still in flight")
-	case <-time.After(20 * time.Millisecond):
-	}
-	r.release <- struct{}{} // let the slice finish
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("RunContext did not return after the in-flight slice finished")
-	}
-	if got := r.spent.Load(); got != 64 {
-		t.Errorf("blocked job spent %d execs, want exactly the one in-flight slice (64)", got)
-	}
-	if jobs[0].Done() {
-		t.Error("cancelled-context job was marked Done; its state should stay resumable")
-	}
 }
 
 // TestJobCancel: a cancelled queued job retires without another step,
@@ -108,24 +68,6 @@ func TestJobCancel(t *testing.T) {
 		if n := retired[i].Load(); n != 1 {
 			t.Errorf("job%d OnRetire fired %d times, want 1", i, n)
 		}
-		if !jobs[i].Done() {
-			t.Errorf("job%d not marked Done after cancel", i)
-		}
-	}
-}
-
-// TestJobMaxExecs: a job's own budget caps the slices handed to its
-// Runner and retires it exactly at the boundary.
-func TestJobMaxExecs(t *testing.T) {
-	r := &fakeRunner{budget: 1 << 30}
-	j := &Job{Name: "capped", Runner: r, MaxExecs: 10_000}
-	fl := Fleet{Workers: 1, Slice: 4096}
-	fl.Run([]*Job{j})
-	if r.spent != 10_000 {
-		t.Errorf("runner spent %d, want exactly the job budget 10000", r.spent)
-	}
-	if !j.Done() || j.Execs() != 10_000 {
-		t.Errorf("job done=%v execs=%d, want done at 10000", j.Done(), j.Execs())
 	}
 }
 
@@ -136,13 +78,15 @@ func TestPoolDynamic(t *testing.T) {
 	p := fl.Start()
 
 	var runners []*fakeRunner
-	var jobs []*Job
 	var retired atomic.Int32
-	for i := 0; i < 12; i++ {
+	var retiredBy [12]atomic.Int32
+	for i := range retiredBy {
 		r := &fakeRunner{budget: 5000 + 100*i}
 		runners = append(runners, r)
-		j := &Job{Name: fmt.Sprintf("dyn%d", i), Runner: r, OnRetire: func(*Job) { retired.Add(1) }}
-		jobs = append(jobs, j)
+		j := &Job{Name: fmt.Sprintf("dyn%d", i), Runner: r, OnRetire: func(*Job) {
+			retiredBy[i].Add(1)
+			retired.Add(1)
+		}}
 		if err := p.Submit(j); err != nil {
 			t.Fatalf("Submit: %v", err)
 		}
@@ -164,8 +108,8 @@ func TestPoolDynamic(t *testing.T) {
 		if r.overlaps.Load() != 0 {
 			t.Errorf("dyn%d stepped concurrently", i)
 		}
-		if !jobs[i].Done() {
-			t.Errorf("dyn%d not Done", i)
+		if n := retiredBy[i].Load(); n != 1 {
+			t.Errorf("dyn%d retired %d times, want 1", i, n)
 		}
 	}
 	if d := p.QueueDepth(); d != 0 {
@@ -203,12 +147,13 @@ func TestPoolReleasesRetiredJobs(t *testing.T) {
 }
 
 // TestPoolStopLeavesStateResumable: Stop finishes the in-flight slice
-// and leaves unfinished jobs un-retired, exactly like RunContext.
+// and leaves unfinished jobs un-retired.
 func TestPoolStopLeavesStateResumable(t *testing.T) {
 	fl := Fleet{Workers: 2, Slice: 128}
 	p := fl.Start()
 	r := newBlockingRunner()
-	j := &Job{Name: "inflight", Runner: r}
+	var retired atomic.Int32
+	j := &Job{Name: "inflight", Runner: r, OnRetire: func(*Job) { retired.Add(1) }}
 	if err := p.Submit(j); err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -232,8 +177,8 @@ func TestPoolStopLeavesStateResumable(t *testing.T) {
 	if r.spent.Load() != 128 {
 		t.Errorf("in-flight job spent %d, want exactly one slice (128)", r.spent.Load())
 	}
-	if j.Done() {
-		t.Error("stopped-pool job marked Done; its state should stay resumable")
+	if n := retired.Load(); n != 0 {
+		t.Errorf("stopped-pool job retired %d times; its state should stay resumable", n)
 	}
 }
 
@@ -252,8 +197,7 @@ func TestPoolConcurrentSubmitCancel(t *testing.T) {
 			for i := 0; i < n/4; i++ {
 				j := &Job{
 					Name:     fmt.Sprintf("g%d-%d", g, i),
-					Runner:   &fakeRunner{budget: 2000},
-					MaxExecs: 1500,
+					Runner:   &fakeRunner{budget: 1500},
 					OnRetire: func(*Job) { retired.Add(1) },
 				}
 				if err := p.Submit(j); err != nil {

@@ -189,8 +189,9 @@ func recordsEqual(a, b *trace.Record) bool {
 
 // checkDeterminism: same input, identical full trace — across fresh
 // Program values and across goroutines sharing one value (the
-// concurrent-engine contract; run under -race this also proves the
-// subject keeps no hidden mutable state).
+// registry's shared-Program contract: a Program must be safe for
+// concurrent Run calls; run under -race this also proves the subject
+// keeps no hidden mutable state).
 func checkDeterminism(t *testing.T, e registry.Entry, probes [][]byte) {
 	refs := make([]*trace.Record, len(probes))
 	for i, in := range probes {

@@ -130,11 +130,11 @@ type Status struct {
 	Error          string `json:"error,omitempty"`
 }
 
-// tenant is one budget domain. reserve/settle bracket each step the
-// way the fleet brackets its global budget: the slice is reserved
-// before stepping and the unspent part refunded after, so concurrent
-// campaigns of one tenant can never jointly overshoot the budget by
-// more than the engines' documented in-flight overshoot.
+// tenant is one budget domain. reserve/settle bracket each step: the
+// slice is reserved before stepping and the unspent part refunded
+// after, so concurrent campaigns of one tenant can never jointly
+// overshoot the budget by more than the engines' documented in-flight
+// overshoot.
 type tenant struct {
 	name   string
 	budget int // 0 = unlimited

@@ -442,6 +442,9 @@ func TestSubmitValidation(t *testing.T) {
 		{`{}`, http.StatusBadRequest},
 		{`{"subject":"expr","bogus":1}`, http.StatusBadRequest},
 		{`not json`, http.StatusBadRequest},
+		{`{"subject":"expr"} {"subject":"mjs"} garbage`, http.StatusBadRequest},
+		{`{"subject":"expr"} trailing`, http.StatusBadRequest},
+		{"{\"subject\":\"nosuch\"} \n\t", http.StatusUnprocessableEntity},
 	} {
 		resp, err := http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(tc.body))
 		if err != nil {

@@ -55,6 +55,12 @@ func decodeSubmission(body io.Reader) (Submission, error) {
 	if err := dec.Decode(&sub); err != nil {
 		return Submission{}, fmt.Errorf("decoding submission: %w", err)
 	}
+	// Decode stops after the first value; anything but whitespace
+	// after it is a second value or garbage, not part of the one
+	// object the body must be.
+	if _, err := dec.Token(); err != io.EOF {
+		return Submission{}, errors.New("decoding submission: trailing data after the JSON object")
+	}
 	if sub.Subject == "" {
 		return Submission{}, errors.New("submission needs a subject")
 	}

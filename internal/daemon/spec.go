@@ -41,7 +41,7 @@ type Submission struct {
 	Mine bool `json:"mine,omitempty"`
 	// Shim, when non-empty, drives the subject out of process through
 	// this argv (binary + args) speaking the shim protocol
-	// (DESIGN.md §14), one child pool per campaign.
+	// (DESIGN.md §14), one child process per campaign.
 	Shim []string `json:"shim,omitempty"`
 	// SnapEvery overrides the daemon's snapshot cadence for this
 	// campaign (0 = daemon default).

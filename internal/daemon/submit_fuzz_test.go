@@ -29,6 +29,7 @@ func FuzzSubmission(f *testing.F) {
 	f.Add([]byte(`{"subject":"expr","shim":[]}`))
 	f.Add([]byte(`{"subject":"expr","shim":null,"mine":false}`))
 	f.Add([]byte(`{"subject":"expr"} trailing`))
+	f.Add([]byte(`{"subject":"expr"} {"subject":"mjs"} garbage`))
 	f.Add([]byte(`{"subject":"expr","state":"done"}`)) // a spec field: unknown here
 	f.Add([]byte(`{"subject":""}`))
 	f.Add([]byte(`{"subject":"\ud800é<&>"}`))

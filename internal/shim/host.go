@@ -1,9 +1,9 @@
-// Parent side of the protocol: a Host owns a pool of connected
-// children and turns their failures — crash, hang, garbage, refusal
-// to spawn — into per-execution outcomes the engines already know how
-// to absorb. One Host serves any number of concurrent callers (a
-// Program may be shared across goroutines), growing the child pool on
-// demand and retiring children beyond MaxIdle.
+// Parent side of the protocol: a Host owns one connected child and
+// turns its failures — crash, hang, garbage, refusal to spawn — into
+// per-execution outcomes the engines already know how to absorb. A
+// failed child is replaced by a fresh one. A campaign executes
+// serially, so one child serves it; concurrent callers sharing a
+// Program take turns on that child.
 package shim
 
 import (
@@ -51,8 +51,6 @@ type Options struct {
 	// consecutive failed executions or spawns the Host stops spawning
 	// and reports every execution unavailable. Default 16.
 	MaxFailures int
-	// MaxIdle caps the pool of connected idle children. Default 8.
-	MaxIdle int
 }
 
 func (o *Options) fill() {
@@ -70,9 +68,6 @@ func (o *Options) fill() {
 	}
 	if o.MaxFailures <= 0 {
 		o.MaxFailures = 16
-	}
-	if o.MaxIdle <= 0 {
-		o.MaxIdle = 8
 	}
 }
 
@@ -120,8 +115,8 @@ type op struct {
 }
 
 // proc is one connected child plus the parent-side per-execution
-// scratch. A proc is owned by exactly one worker between acquire and
-// release, so none of this needs locking.
+// scratch. Only the caller holding Host.turn touches the scratch, so
+// none of it needs locking.
 type proc struct {
 	conn *Conn
 	bw   *bufio.Writer
@@ -135,11 +130,8 @@ type proc struct {
 	res      resultMsg
 
 	// fired is set by the watchdog just before it kills the child, so
-	// a failed round-trip can be classified hang vs crash. dead marks
-	// a proc whose deadline fired concurrently with a successful
-	// result: the reply is valid but the child is gone.
+	// a failed round-trip can be classified hang vs crash.
 	fired atomic.Bool
-	dead  bool
 }
 
 // arenaCopy copies b into the proc's byte arena and returns a stable
@@ -226,16 +218,20 @@ func (p *proc) roundTrip(input []byte, execSteps int) error {
 	}
 }
 
-// Host manages the child pool for one shimmed subject.
+// Host manages the child for one shimmed subject.
 type Host struct {
 	launcher Launcher
 	opts     Options
 
+	// turn is held by Subject.Run across one execution and its
+	// replay, which reads the child's scratch: callers sharing the
+	// Host take turns on its one child.
+	turn sync.Mutex
+
 	mu       sync.Mutex
 	name     string
 	blocks   int
-	idle     []*proc
-	procs    map[*proc]bool // every live child, for Close
+	child    *proc // the connected child; nil until respawned after a failure
 	closed   bool
 	tripped  bool
 	failures int // consecutive, reset on success
@@ -243,7 +239,7 @@ type Host struct {
 	stats    Stats
 }
 
-// NewHost connects to one child eagerly — learning the subject's
+// NewHost connects to its child eagerly — learning the subject's
 // echoed name and block count, and failing fast on a launcher or
 // handshake problem — and returns a Host ready for concurrent use.
 func NewHost(l Launcher, opts Options) (*Host, error) {
@@ -251,15 +247,14 @@ func NewHost(l Launcher, opts Options) (*Host, error) {
 		return nil, fmt.Errorf("shim: Options.Subject is empty")
 	}
 	opts.fill()
-	h := &Host{launcher: l, opts: opts, procs: map[*proc]bool{}}
+	h := &Host{launcher: l, opts: opts}
 	p, err := h.spawn()
 	if err != nil {
 		return nil, fmt.Errorf("shim: initial spawn: %w", err)
 	}
 	h.mu.Lock()
 	h.stats.Spawns++
-	h.procs[p] = true
-	h.idle = append(h.idle, p)
+	h.child = p
 	h.mu.Unlock()
 	return h, nil
 }
@@ -356,8 +351,9 @@ func (h *Host) handshake(p *proc) error {
 	return nil
 }
 
-// acquire returns an exclusive child, spawning one (after the current
-// backoff, when recovering from failures) if none is idle.
+// acquire returns the child, spawning one (after the current backoff,
+// when recovering from failures) if the last one failed. Callers hold
+// turn.
 func (h *Host) acquire() (*proc, error) {
 	h.mu.Lock()
 	if h.closed {
@@ -370,9 +366,7 @@ func (h *Host) acquire() (*proc, error) {
 		h.mu.Unlock()
 		return nil, errTripped
 	}
-	if n := len(h.idle); n > 0 {
-		p := h.idle[n-1]
-		h.idle = h.idle[:n-1]
+	if p := h.child; p != nil {
 		h.mu.Unlock()
 		return p, nil
 	}
@@ -401,7 +395,7 @@ func (h *Host) acquire() (*proc, error) {
 		return nil, errClosed
 	}
 	h.stats.Spawns++
-	h.procs[p] = true
+	h.child = p
 	h.mu.Unlock()
 	return p, nil
 }
@@ -424,35 +418,23 @@ func (h *Host) noteFailureLocked() {
 	}
 }
 
-// release returns a child to the idle pool, or retires it when the
-// pool is full, the host is closed, or its deadline fired.
-func (h *Host) release(p *proc) {
-	h.mu.Lock()
-	if p.dead || h.closed || len(h.idle) >= h.opts.MaxIdle {
-		delete(h.procs, p)
-		h.mu.Unlock()
-		p.conn.Kill()
-		p.conn.Wait() //nolint:errcheck // reap only
-		return
-	}
-	h.idle = append(h.idle, p)
-	h.mu.Unlock()
-}
-
-// discard kills and reaps a failed child.
+// discard kills and reaps a child, so the next acquire respawns.
+// Kill and Wait are idempotent, so a child Close already reaped may
+// be discarded again.
 func (h *Host) discard(p *proc) {
 	h.mu.Lock()
-	delete(h.procs, p)
+	if h.child == p {
+		h.child = nil
+	}
 	h.mu.Unlock()
 	p.conn.Kill()
 	p.conn.Wait() //nolint:errcheck // reap only
 }
 
-// exec acquires a child and runs one execution on it under the
-// per-exec deadline. On OutcomeOK the returned proc holds the decoded
-// trace in its scratch; the caller must replay it and then release
-// the proc. On any other outcome the proc has already been disposed
-// of and the returned proc is nil.
+// exec runs one execution on the child under the per-exec deadline.
+// Callers hold turn. On OutcomeOK the returned proc holds the decoded
+// trace in its scratch for the caller to replay; on any other outcome
+// the child has been discarded and the returned proc is nil.
 func (h *Host) exec(input []byte, execSteps int) (*proc, Outcome) {
 	p, err := h.acquire()
 	if err != nil {
@@ -470,9 +452,12 @@ func (h *Host) exec(input []byte, execSteps int) (*proc, Outcome) {
 	if rerr == nil {
 		h.failures = 0
 		h.mu.Unlock()
-		// If the deadline fired concurrently with completion the
-		// result is valid but the child is dying; release retires it.
-		p.dead = !stopped
+		if !stopped {
+			// The deadline fired concurrently with completion: the
+			// result is valid but the child is dying. Its scratch
+			// outlives it for the replay.
+			h.discard(p)
+		}
 		return p, OutcomeOK
 	}
 	hang := p.fired.Load()
@@ -495,9 +480,10 @@ func (h *Host) exec(input []byte, execSteps int) (*proc, Outcome) {
 	return nil, OutcomeCrash
 }
 
-// Close kills and reaps every child, idle or in flight. In-flight
-// executions fail over to OutcomeCrash/OutcomeUnavailable without
-// affecting the breaker. Close is idempotent.
+// Close kills and reaps the child, idle or in flight. It does not
+// wait for turn: an in-flight execution fails over to
+// OutcomeCrash/OutcomeUnavailable without affecting the breaker.
+// Close is idempotent.
 func (h *Host) Close() {
 	h.mu.Lock()
 	if h.closed {
@@ -505,17 +491,11 @@ func (h *Host) Close() {
 		return
 	}
 	h.closed = true
-	procs := make([]*proc, 0, len(h.procs))
-	for p := range h.procs {
-		procs = append(procs, p)
-	}
-	h.procs = map[*proc]bool{}
-	h.idle = nil
+	p := h.child
+	h.child = nil
 	h.mu.Unlock()
-	for _, p := range procs {
+	if p != nil {
 		p.conn.Kill()
-	}
-	for _, p := range procs {
 		p.conn.Wait() //nolint:errcheck // reap only
 	}
 }

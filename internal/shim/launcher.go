@@ -15,7 +15,9 @@ import (
 // frames from R, and can Kill the child at any time (idempotent,
 // callable concurrently with reads — the watchdog uses it). Wait
 // blocks until the child is fully reaped and returns its terminal
-// error; it must only be called after Kill or after W is closed.
+// error; it must only be called after Kill or after W is closed, and
+// may be called more than once (Host.Close and a failing in-flight
+// execution both reap the same child).
 type Conn struct {
 	W    io.WriteCloser
 	R    io.Reader

@@ -5,6 +5,8 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -255,8 +257,8 @@ func TestSubprocessTraceIdentity(t *testing.T) {
 	}
 }
 
-// TestCloseKillsChildren: Close must reap every child, including ones
-// acquired and never released (simulating shutdown mid-execution).
+// TestCloseKillsChildren: Close reaps an idle host's child, later
+// executions report unavailable, and a second Close is a no-op.
 func TestCloseKillsChildren(t *testing.T) {
 	h := newPipeHost(t, "expr", FaultPlan{}, Options{ExecTimeout: time.Minute})
 	s := h.Subject()
@@ -274,4 +276,117 @@ func TestCloseKillsChildren(t *testing.T) {
 		t.Errorf("exec after Close claims a deciding prefix of %d", d)
 	}
 	h.Close() // idempotent
+}
+
+// TestSharedHostTakesTurns: goroutines sharing one Host's Program take
+// turns on its single child. Every trace equals the in-process one,
+// one child serves them all, and no execution is lost.
+func TestSharedHostTakesTurns(t *testing.T) {
+	e, ok := registry.Get("expr")
+	if !ok {
+		t.Fatal("expr not registered")
+	}
+	h := newPipeHost(t, "expr", FaultPlan{}, Options{})
+	shared := h.Subject()
+	probes := probesFor(t, e)
+	want := make([]*trace.Record, len(probes))
+	for i, in := range probes {
+		want[i] = subject.Execute(e.New(), in, trace.Full())
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				for k := range probes {
+					i := (k + g*len(probes)/4) % len(probes) // start each goroutine elsewhere
+					if got := subject.Execute(shared, probes[i], trace.Full()); !recordsIdentical(got, want[i]) {
+						t.Errorf("goroutine %d input %q: shared-host trace differs from in-process", g, probes[i])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	st := h.Stats()
+	if st.Spawns != 1 {
+		t.Errorf("shared host spawned %d children, want 1", st.Spawns)
+	}
+	if st.Crashes+st.Hangs+st.Protocol+st.Unavailable != 0 {
+		t.Errorf("shared host reported losses: %+v", st)
+	}
+}
+
+// reapLauncher wraps a launcher and records when a child's Wait has
+// returned, and when the first frame after arm is written to a child.
+type reapLauncher struct {
+	Launcher
+	armed   atomic.Bool
+	sent    chan struct{}
+	sendOne sync.Once
+	reaped  atomic.Bool
+}
+
+type signalWriter struct {
+	io.WriteCloser
+	l *reapLauncher
+}
+
+func (w signalWriter) Write(b []byte) (int, error) {
+	if w.l.armed.Load() {
+		w.l.sendOne.Do(func() { close(w.l.sent) })
+	}
+	return w.WriteCloser.Write(b)
+}
+
+func (l *reapLauncher) Launch() (*Conn, error) {
+	c, err := l.Launcher.Launch()
+	if err != nil {
+		return nil, err
+	}
+	wait := c.Wait
+	return &Conn{W: signalWriter{c.W, l}, R: c.R, Kill: c.Kill, Wait: func() error {
+		err := wait()
+		l.reaped.Store(true)
+		return err
+	}}, nil
+}
+
+// TestCloseWhileInFlight: Close from another goroutine tears down an
+// execution in flight on a hanging child long before its deadline.
+// The execution reports a lost run, the child is reaped by the time
+// Close returns, and a second Close is a no-op.
+func TestCloseWhileInFlight(t *testing.T) {
+	l := &reapLauncher{Launcher: pipeLauncher(FaultPlan{HangAt: 1}), sent: make(chan struct{})}
+	h, err := NewHost(l, Options{Subject: "expr", ExecTimeout: time.Minute})
+	if err != nil {
+		t.Fatalf("NewHost: %v", err)
+	}
+	l.armed.Store(true)
+	exits := make(chan int, 1)
+	go func() { exits <- execOnce(h.Subject(), "1+1").Exit }()
+	select {
+	case <-l.sent: // the EXEC frame is on its way: the execution is in flight
+	case <-time.After(10 * time.Second):
+		t.Fatal("execution never reached the child")
+	}
+	h.Close()
+	if !l.reaped.Load() {
+		t.Error("Close returned before the in-flight child was reaped")
+	}
+	select {
+	case exit := <-exits:
+		if exit != subject.ExitCrash && exit != subject.ExitUnavailable {
+			t.Errorf("in-flight exec after Close: exit %d, want ExitCrash or ExitUnavailable", exit)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("in-flight exec did not return after Close")
+	}
+	before := h.Stats()
+	h.Close()
+	if after := h.Stats(); after != before || after.Tripped {
+		t.Errorf("second Close changed stats %+v -> %+v", before, after)
+	}
 }

@@ -18,8 +18,8 @@ import (
 )
 
 // Subject is the parent-side stand-in for the out-of-process program.
-// It is stateless; concurrent Run calls each acquire their own child
-// from the shared Host, satisfying the registry's concurrent-Program
+// It is stateless; concurrent Run calls take turns on the shared
+// Host's child, satisfying the registry's concurrent-Program
 // contract.
 type Subject struct {
 	h *Host
@@ -41,6 +41,8 @@ func (s *Subject) Blocks() int { return s.h.Blocks() }
 // exit status; every engine treats those as rejections and the
 // campaign continues.
 func (s *Subject) Run(t *trace.Tracer) int {
+	s.h.turn.Lock()
+	defer s.h.turn.Unlock()
 	// RawInput, not Input: the parent harness forwarding bytes must
 	// not mark the run length-dependent — only the child's own reads
 	// decide that, and the result frame carries the verdict back.
@@ -57,9 +59,7 @@ func (s *Subject) Run(t *trace.Tracer) int {
 		return subject.ExitUnavailable
 	}
 	replay(t, p)
-	exit := int(p.res.Exit)
-	s.h.release(p)
-	return exit
+	return int(p.res.Exit)
 }
 
 // setStack adjusts the tracer's instrumented stack depth to d with
