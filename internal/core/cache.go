@@ -142,30 +142,6 @@ const maxDecidedPrefix = 64
 // slim entry when the caller needs derived facts counts as a miss:
 // the input runs for real and the entry upgrades in place.
 //
-// hint is the extension-probe carry-over. The engine's loop always
-// executes a candidate's random extension immediately after the
-// candidate itself (deriving marks the extension call, and all
-// executions — hence all cache admissions — happen on this one
-// goroutine), which makes two shortcuts sound and bit-transparent:
-//
-//   - if the candidate's execution admitted the candidate's own
-//     deciding prefix, the extension's Get is *guaranteed* to stop at
-//     exactly that entry — no shorter prefix can exist (it would have
-//     answered the candidate's lookup) and shortest-prefix-wins rules
-//     out everything longer — so the lookup is answered without
-//     hashing a byte;
-//   - otherwise, every prefix probe up to the candidate's length
-//     would repeat a probe the candidate's missed lookup already made
-//     (the only admissions since were the candidate's own: an exact
-//     entry in the tagged tier, or a prefix admission that took the
-//     first shortcut), so pcache.GetExt resumes the rolling hash from
-//     the candidate's miss Ref and hashes only the appended byte.
-//
-// Both return exactly what the full Get would have — same value, same
-// hit/miss verdict, same counters — so fingerprints, corpora and
-// retire milestones are unchanged; only the per-iteration hash work
-// drops from two passes over the input to one.
-//
 // A retired cache is treated as no cache: every lookup would miss and
 // every admission would be dropped, so the run skips the lookup, the
 // deciding-prefix scan and the derived-facts copies, and distills into
@@ -173,35 +149,23 @@ const maxDecidedPrefix = 64
 // miss.
 func cachedExec(cache *pcache.Cache[cachedFacts], prog subject.Program,
 	input []byte, deriving bool, sink *trace.Sink,
-	hint *extHint, scratch *distillScratch) (rf *runFacts, hit bool) {
+	scratch *distillScratch) (rf *runFacts, hit bool) {
 	if cache == nil || cache.Retired() {
 		rec := subject.ExecuteInto(prog, input, traceOpts(), sink)
 		return factsOfInto(&scratch.rf, rec, deriving, scratch), false
 	}
-	if deriving && hint.stored && len(input) > hint.prevLen {
-		e := hint.entry
-		hint.clear()
-		return e.runFactsInto(&scratch.rf, input), true
-	}
-	var e cachedFacts
-	var slot pcache.Ref
-	var ok bool
-	if deriving && hint.ref.Missed() && len(input) > hint.prevLen {
-		e, slot, ok = cache.GetExt(hint.ref, input[hint.prevLen:])
-	} else {
-		e, slot, ok = cache.Get(input)
-	}
-	hint.clear()
-	if ok {
+	if e, ok := cache.Get(input); ok {
 		// Slim entries are always rejections, whose verdict and path
 		// hash are all a non-deriving caller consumes.
 		if e.derived != nil || !deriving {
 			return e.runFactsInto(&scratch.rf, input), true
 		}
-		// A deriving caller upgrades the slim entry in place.
+		// A deriving caller upgrades the slim entry in place. A slim
+		// entry is always input's own exact entry: prefix entries are
+		// stored full, and a prefix entry would have answered first.
 		rec := subject.ExecuteInto(prog, input, traceOpts(), sink)
 		rf = factsOfInto(&scratch.rf, rec, true, nil)
-		cache.Set(slot, cachedFacts{accepted: rf.accepted, pathHash: rf.pathHash, derived: derivedOf(rf)})
+		cache.SetExact(input, cachedFacts{accepted: rf.accepted, pathHash: rf.pathHash, derived: derivedOf(rf)})
 		return rf, false
 	}
 	rec := subject.ExecuteInto(prog, input, traceOpts(), sink)
@@ -217,7 +181,7 @@ func cachedExec(cache *pcache.Cache[cachedFacts], prog subject.Program,
 	// slim (they serve re-pops, which are non-deriving too) and
 	// upgrade in place on the rare deriving touch.
 	rf = factsOfInto(&scratch.rf, rec, deriving || decided, nil)
-	e = cachedFacts{accepted: rf.accepted, pathHash: rf.pathHash}
+	e := cachedFacts{accepted: rf.accepted, pathHash: rf.pathHash}
 	if deriving || decided || rf.accepted {
 		e.derived = derivedOf(rf)
 	}
@@ -225,34 +189,15 @@ func cachedExec(cache *pcache.Cache[cachedFacts], prog subject.Program,
 		// Rejected on the prefix alone: every extension of these d
 		// bytes replays this trace, so the entry matches whole families
 		// of future candidates.
-		if cache.PutPrefix(input[:d], e) {
-			hint.stored = true
-			hint.entry = e
-		}
+		cache.PutPrefix(input[:d], e)
 	} else {
 		// Length-dependent outcome (acceptance or EOF rejection, or a
 		// deciding prefix too long to be worth a probe slot): only a
 		// re-execution of the identical input may reuse it. These
 		// recur constantly — every re-pop of a candidate re-runs its
 		// input, and extension runs re-draw earlier extensions — so
-		// all of them are admitted up to the cache's entry bound,
-		// reusing the missed lookup's hash.
-		cache.PutExactAt(slot, e)
+		// all of them are admitted up to the cache's entry bound.
+		cache.PutExact(input, e)
 	}
-	hint.ref = slot
-	hint.prevLen = len(input)
 	return rf, false
 }
-
-// extHint is the lookup state cachedExec carries from a candidate's
-// execution to its extension's (see cachedExec). The zero value is
-// inert; clear resets it to inert, which every consult does — a hint
-// is good for exactly the next call.
-type extHint struct {
-	ref     pcache.Ref  // miss Ref of the previous input's lookup
-	prevLen int         // length of the previous input
-	entry   cachedFacts // prefix entry the previous execution admitted
-	stored  bool        // entry was admitted as a deciding prefix
-}
-
-func (h *extHint) clear() { h.ref = pcache.Ref{}; h.stored = false }

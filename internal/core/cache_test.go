@@ -1,12 +1,16 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
+	"pfuzzer/internal/pcache"
 	"pfuzzer/internal/registry"
+	"pfuzzer/internal/subject"
 	"pfuzzer/internal/subjects/expr"
 	"pfuzzer/internal/subjects/ini"
 	"pfuzzer/internal/subjects/urlp"
+	"pfuzzer/internal/trace"
 )
 
 // collectCacheEvents runs a campaign and returns the EventCache
@@ -234,5 +238,52 @@ func TestCacheAutoRetires(t *testing.T) {
 		if auto.Fingerprint() != off.Fingerprint() {
 			t.Errorf("%s: CacheAuto campaign diverged from CacheOff", name)
 		}
+	}
+}
+
+// TestCachedExecUpgradesSlimEntry drives the slim-entry upgrade path
+// on one EOF-rejected input, which the cache stores in the exact tier:
+// a non-deriving miss stores a slim entry, a deriving lookup of it
+// re-executes and upgrades the entry in place, and a second deriving
+// lookup is a hit whose derived facts equal a fresh distillation.
+func TestCachedExecUpgradesSlimEntry(t *testing.T) {
+	prog := expr.New()
+	input := []byte("(1+")
+	rec := subject.Execute(prog, input, traceOpts())
+	if _, decided := rec.DecidedPrefix(); decided || rec.Accepted() {
+		t.Fatalf("%q must be an EOF rejection (decided=%v accepted=%v)", input, decided, rec.Accepted())
+	}
+	want := factsOf(rec, true)
+	if len(want.trimmed) == 0 || len(want.lastComps) == 0 {
+		t.Fatalf("%q distills no derived facts to compare", input)
+	}
+	cache := pcache.New[cachedFacts](0)
+	var sink trace.Sink
+	var scratch distillScratch
+
+	if _, hit := cachedExec(cache, prog, input, false, &sink, &scratch); hit {
+		t.Fatal("first lookup hit an empty cache")
+	}
+	if e, ok := cache.Get(input); !ok || e.derived != nil {
+		t.Fatalf("non-deriving miss stored (ok=%v, derived=%v), want a slim entry", ok, e.derived != nil)
+	}
+
+	if _, hit := cachedExec(cache, prog, input, true, &sink, &scratch); hit {
+		t.Fatal("deriving lookup of a slim entry counted as a hit")
+	}
+	if e, ok := cache.Get(input); !ok || e.derived == nil {
+		t.Fatalf("deriving re-execution left (ok=%v, derived=%v), want the entry upgraded", ok, e.derived != nil)
+	}
+
+	rf, hit := cachedExec(cache, prog, input, true, &sink, &scratch)
+	if !hit {
+		t.Fatal("deriving lookup of the upgraded entry missed")
+	}
+	if rf.accepted != want.accepted || rf.pathHash != want.pathHash || rf.stack != want.stack ||
+		!reflect.DeepEqual(rf.trimmed, want.trimmed) || !reflect.DeepEqual(rf.lastComps, want.lastComps) {
+		t.Fatalf("upgraded hit = %+v, fresh facts = %+v", *rf, *want)
+	}
+	if cache.Len() != 1 {
+		t.Fatalf("cache holds %d entries, want the one upgraded in place", cache.Len())
 	}
 }

@@ -19,9 +19,3 @@ import (
 func ExecFull(p subject.Program, input []byte) *trace.Record {
 	return subject.Execute(p, input, trace.Full())
 }
-
-// Accepts reports whether p accepts input, the single-bit form of
-// ExecFull for emission-soundness assertions.
-func Accepts(p subject.Program, input []byte) bool {
-	return ExecFull(p, input).Accepted()
-}

@@ -99,10 +99,10 @@ func factsOfInto(rf *runFacts, rec *trace.Record, deriving bool, reuse *distillS
 	if deriving || rf.accepted {
 		rf.stack = rec.AvgStackLastTwo()
 		// Blocks first hit before the final comparison, collected
-		// straight into the slice: the map BlocksBeforeSeq would
-		// allocate per execution buys nothing here, and this runs for
-		// every deriving execution — and, with the cache enabled, for
-		// every miss.
+		// straight into the slice: a map of them would allocate per
+		// execution and buy nothing here, and this runs for every
+		// deriving execution — and, with the cache enabled, for every
+		// miss.
 		cut := int(^uint(0) >> 1)
 		if n := len(rec.Comparisons); n > 0 {
 			cut = rec.Comparisons[n-1].Seq + 1

@@ -269,7 +269,6 @@ type Fuzzer struct {
 	sink         trace.Sink                 // the engine's reusable trace buffers
 	cache        *pcache.Cache[cachedFacts] // prefix-decided execution cache (nil = off)
 	cacheCheckAt int                        // next adaptive-retirement milestone (maybeRetireCache)
-	hint         extHint                    // candidate→extension lookup carry-over (cachedExec)
 	scratch      distillScratch             // trajectory's reusable distillation storage (cachedExec)
 
 	vBr    blockSet // blocks covered by valid inputs

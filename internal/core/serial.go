@@ -76,7 +76,7 @@ func (f *Fuzzer) runSerial() {
 func (f *Fuzzer) execFacts(input []byte, deriving bool) *runFacts {
 	f.res.Execs++
 	t0 := time.Now()
-	rf, hit := cachedExec(f.cache, f.prog, input, deriving, &f.sink, &f.hint, &f.scratch)
+	rf, hit := cachedExec(f.cache, f.prog, input, deriving, &f.sink, &f.scratch)
 	f.res.ExecElapsed += time.Since(t0)
 	if f.cache != nil {
 		if hit {

@@ -27,6 +27,11 @@
 // engine-level cache-transparency property (internal/conformance)
 // would surface one as a fingerprint mismatch.
 //
+// The API is a plain table keyed by bytes: Get looks an input up,
+// PutPrefix or PutExact admits an outcome after a miss, and SetExact
+// overwrites an exact entry in place. Each call hashes its own
+// argument.
+//
 // A Cache has a single owner: it takes no locks and does no atomic
 // operations, so at most one goroutine may call into it at a time.
 // A campaign's cache is touched only by that campaign's serial engine
@@ -139,37 +144,19 @@ func (c *Cache[V]) bloomAdd(k key) {
 	c.bloom[b2>>6] |= 1 << (b2 & 63)
 }
 
-// Ref identifies an entry slot returned by Get. After a hit it
-// addresses the entry that answered, so a caller holding richer facts
-// for the same bytes can upgrade it in place with Set; after a miss
-// it addresses the input's (absent) exact slot, so PutExactAt can
-// admit the fresh outcome without re-hashing the input — and it
-// additionally carries the rolling-hash state at the input's end, so
-// GetExt can probe an extension of the same input without repeating
-// the pass over the shared prefix. The zero Ref is inert everywhere.
-type Ref struct {
-	k  key
-	n  int  // input length the hash state covers (miss Refs only)
-	ok bool // an entry exists at k
-}
-
-// Missed reports whether r is the resumable miss Ref of a completed
-// lookup (as opposed to a hit Ref or the zero Ref of a retired cache).
-func (r Ref) Missed() bool { return !r.ok && r.k != (key{}) }
-
 // Get returns the memoised value for input: the value of the shortest
 // stored deciding prefix of input, or failing that the input's exact
 // entry. The rolling pass consults the length bitset and the bloom
 // filter first, so the map is probed only where an entry may exist.
-func (c *Cache[V]) Get(input []byte) (V, Ref, bool) {
+func (c *Cache[V]) Get(input []byte) (V, bool) {
+	var zero V
 	if c.retired {
-		var zero V
-		return zero, Ref{}, false
+		return zero, false
 	}
 	h1, h2 := uint64(seed1), uint64(seed2)
 	if c.hasLen(0) {
 		if v, ok := c.m[key{h1, h2}]; ok {
-			return v, Ref{k: key{h1, h2}, ok: true}, true
+			return v, true
 		}
 	}
 	for i := 0; i < len(input); i++ {
@@ -177,77 +164,17 @@ func (c *Cache[V]) Get(input []byte) (V, Ref, bool) {
 		if c.hasLen(i + 1) {
 			if k := (key{h1, h2}); c.mayContain(k) {
 				if v, ok := c.m[k]; ok {
-					return v, Ref{k: k, ok: true}, true
+					return v, true
 				}
 			}
 		}
 	}
-	return c.getExact(h1, h2, len(input))
-}
-
-// getExact finishes a lookup whose prefix probes all missed: it probes
-// the exact tier at the hash state (h1, h2) of an n-byte input.
-func (c *Cache[V]) getExact(h1, h2 uint64, n int) (V, Ref, bool) {
-	k := key{h1, h2 ^ exactTag}
-	if c.mayContain(k) {
+	if k := (key{h1, h2 ^ exactTag}); c.mayContain(k) {
 		if v, ok := c.m[k]; ok {
-			return v, Ref{k: k, ok: true}, true
+			return v, true
 		}
 	}
-	var zero V
-	return zero, Ref{k: k, n: n}, false
-}
-
-// GetExt is Get for an extension of a previously missed input: r must
-// be the miss Ref of a lookup over some byte string p, and tail the
-// bytes appended to p. The rolling pass resumes from r's hash state,
-// so only tail's bytes are hashed — for the engine's candidate →
-// candidate+char probe sequence that is one step instead of a second
-// full pass over the candidate.
-//
-// Soundness requires what Get's contract already promises plus one
-// caller-side guarantee: no prefix entry of length ≤ len(p) may have
-// been admitted since the lookup that produced r. Under that guarantee
-// the skipped probes are all repeats of probes the original lookup
-// already saw miss, so GetExt's answer — value, hit flag, and returned
-// miss Ref — is bit-identical to Get(p+tail)'s. The campaign engine
-// holds the guarantee structurally: its single loop makes every
-// admission, and the only admission between a candidate's lookup and
-// its extension's is the candidate's own outcome, whose prefix form
-// is handled separately (core's extension hint) and whose exact form
-// lives in the tagged tier GetExt never probes for prefix lengths.
-func (c *Cache[V]) GetExt(r Ref, tail []byte) (V, Ref, bool) {
-	if c.retired || !r.Missed() {
-		var zero V
-		return zero, Ref{}, false
-	}
-	h1, h2 := r.k[0], r.k[1]^exactTag
-	n := r.n
-	for i := 0; i < len(tail); i++ {
-		h1, h2 = step(h1, h2, tail[i])
-		n++
-		if c.hasLen(n) {
-			if k := (key{h1, h2}); c.mayContain(k) {
-				if v, ok := c.m[k]; ok {
-					return v, Ref{k: k, ok: true}, true
-				}
-			}
-		}
-	}
-	return c.getExact(h1, h2, n)
-}
-
-// Set overwrites the entry r addresses (a no-op for the zero Ref, a
-// never-admitted entry, or a retired cache). The engine uses it to
-// upgrade a slim entry with the derived facts of a re-execution of
-// the same bytes, so the overwrite never changes a verdict.
-func (c *Cache[V]) Set(r Ref, v V) {
-	if !r.ok {
-		return
-	}
-	if _, exists := c.m[r.k]; exists {
-		c.m[r.k] = v
-	}
+	return zero, false
 }
 
 // hash runs the rolling pass over all of b.
@@ -257,6 +184,12 @@ func hash(b []byte) (uint64, uint64) {
 		h1, h2 = step(h1, h2, c)
 	}
 	return h1, h2
+}
+
+// exactKey is input's key in the exact tier.
+func exactKey(input []byte) key {
+	h1, h2 := hash(input)
+	return key{h1, h2 ^ exactTag}
 }
 
 // PutPrefix stores v as the outcome decided by prefix: any input
@@ -273,19 +206,18 @@ func (c *Cache[V]) PutPrefix(prefix []byte, v V) bool {
 // matches it). It reports whether the entry was stored — false when
 // the cache is full or the input already has an exact entry.
 func (c *Cache[V]) PutExact(input []byte, v V) bool {
-	h1, h2 := hash(input)
-	return c.put(key{h1, h2 ^ exactTag}, -1, v)
+	return c.put(exactKey(input), -1, v)
 }
 
-// PutExactAt is PutExact addressed by the Ref a missing Get returned,
-// sparing the caller a second pass over the input's bytes — the
-// normal way the engine admits a fresh outcome right after a missed
-// lookup.
-func (c *Cache[V]) PutExactAt(r Ref, v V) bool {
-	if r.ok || r.k == (key{}) {
-		return false // a present entry, or the zero Ref
+// SetExact overwrites input's exact entry with v. It does nothing when
+// input has no exact entry or the cache is retired. The engine uses it
+// to upgrade a slim entry with the derived facts of a re-execution of
+// the same bytes, so the overwrite never changes a verdict.
+func (c *Cache[V]) SetExact(input []byte, v V) {
+	k := exactKey(input)
+	if _, exists := c.m[k]; exists {
+		c.m[k] = v
 	}
-	return c.put(r.k, -1, v)
 }
 
 func (c *Cache[V]) put(k key, prefixLen int, v V) bool {

@@ -48,39 +48,21 @@ func (m *model) putExact(k, v string) bool {
 }
 
 func (m *model) get(input string) (string, bool) {
-	tier, k, ok := m.slot(input)
-	if !ok {
-		return "", false
-	}
-	return tier[k], true
-}
-
-// slot names the entry get(input) answers from: the shortest stored
-// prefix, else the exact entry.
-func (m *model) slot(input string) (map[string]string, string, bool) {
 	for l := 0; l <= len(input); l++ {
-		if _, ok := m.prefixes[input[:l]]; ok {
-			return m.prefixes, input[:l], true
+		if v, ok := m.prefixes[input[:l]]; ok {
+			return v, true
 		}
 	}
-	_, ok := m.exacts[input]
-	return m.exacts, input, ok
+	v, ok := m.exacts[input]
+	return v, ok
 }
 
-// putExactAt mirrors PutExactAt on the Ref of a Get over k: a hit Ref
-// admits nothing, a miss Ref admits like putExact.
-func (m *model) putExactAt(k, v string) bool {
-	if _, hit := m.get(k); hit {
-		return false
-	}
-	return m.putExact(k, v)
-}
-
-// set mirrors Set on the Ref of a Get over input: the answering entry
-// is overwritten, a miss is a no-op.
-func (m *model) set(input, v string) {
-	if tier, k, ok := m.slot(input); ok {
-		tier[k] = v
+// setExact mirrors SetExact: k's exact entry is overwritten, and
+// nothing else — a missing exact entry or a prefix entry over the same
+// bytes — is touched.
+func (m *model) setExact(k, v string) {
+	if _, ok := m.exacts[k]; ok {
+		m.exacts[k] = v
 	}
 }
 
@@ -97,7 +79,7 @@ func randKey(rng *rand.Rand) string {
 }
 
 // TestModelAgreement drives random interleavings of every entry
-// point — PutPrefix, PutExact, PutExactAt, Get, GetExt and Set —
+// point — PutPrefix, PutExact, SetExact and Get —
 // against the reference model: every put must admit or reject exactly
 // like the model (the entry bound included; limit=4 fills within a
 // few ops), every lookup must return the model's answer, and Len must
@@ -119,7 +101,7 @@ func TestModelAgreement(t *testing.T) {
 
 // modelOp draws one random call to a cache entry point, makes it on
 // both c and m, and reports the first disagreement — admission bool,
-// lookup answer, GetExt's Ref, or Len afterwards.
+// lookup answer, or Len afterwards.
 func modelOp(c *Cache[string], m *model, rng *rand.Rand, op int) error {
 	k := randKey(rng)
 	switch rng.Intn(8) {
@@ -135,39 +117,12 @@ func modelOp(c *Cache[string], m *model, rng *rand.Rand, op int) error {
 		if got != want {
 			return fmt.Errorf("op %d: PutExact(%q) = %v, model says %v", op, k, got, want)
 		}
-	case 2:
-		v := fmt.Sprintf("A%q#%d", k, op)
-		_, ref, _ := c.Get([]byte(k))
-		got, want := c.PutExactAt(ref, v), m.putExactAt(k, v)
-		if got != want {
-			return fmt.Errorf("op %d: PutExactAt(Get(%q)) = %v, model says %v", op, k, got, want)
-		}
-	case 3:
-		// Resume an extension probe from a miss, as the engine does;
-		// nothing is admitted in between, so GetExt owes the full
-		// Get's answer and Ref.
-		_, ref, ok := c.Get([]byte(k))
-		if ok {
-			break
-		}
-		tail := randKey(rng)
-		ext := k + tail
-		gotV, gotRef, gotOK := c.GetExt(ref, []byte(tail))
-		wantV, wantOK := m.get(ext)
-		if gotOK != wantOK || gotV != wantV {
-			return fmt.Errorf("op %d: GetExt(%q + %q) = (%q, %v), model says (%q, %v)",
-				op, k, tail, gotV, gotOK, wantV, wantOK)
-		}
-		if _, fullRef, _ := c.Get([]byte(ext)); gotRef != fullRef {
-			return fmt.Errorf("op %d: GetExt(%q + %q) Ref %+v, Get's %+v", op, k, tail, gotRef, fullRef)
-		}
-	case 4:
+	case 2, 3, 4:
 		v := fmt.Sprintf("S%q#%d", k, op)
-		_, ref, _ := c.Get([]byte(k))
-		c.Set(ref, v)
-		m.set(k, v)
+		c.SetExact([]byte(k), v)
+		m.setExact(k, v)
 	default:
-		gotV, _, gotOK := c.Get([]byte(k))
+		gotV, gotOK := c.Get([]byte(k))
 		wantV, wantOK := m.get(k)
 		if gotOK != wantOK || gotV != wantV {
 			return fmt.Errorf("op %d: Get(%q) = (%q, %v), model says (%q, %v)",
@@ -186,10 +141,10 @@ func TestShortestPrefixWins(t *testing.T) {
 	c.PutPrefix([]byte("abcd"), "long")
 	c.PutPrefix([]byte("ab"), "short")
 	c.PutExact([]byte("abcdef"), "exact")
-	if v, _, ok := c.Get([]byte("abcdef")); !ok || v != "short" {
+	if v, ok := c.Get([]byte("abcdef")); !ok || v != "short" {
 		t.Fatalf("Get = (%q, %v), want the shortest prefix entry", v, ok)
 	}
-	if v, _, ok := c.Get([]byte("a")); ok {
+	if v, ok := c.Get([]byte("a")); ok {
 		t.Fatalf("Get(%q) = %q, want a miss (no stored prefix covers it)", "a", v)
 	}
 }
@@ -200,11 +155,11 @@ func TestExactDoesNotMatchExtensions(t *testing.T) {
 	c := New[string](0)
 	c.PutExact([]byte("abc"), "v")
 	for _, probe := range []string{"ab", "abcd", "", "abca"} {
-		if v, _, ok := c.Get([]byte(probe)); ok {
+		if v, ok := c.Get([]byte(probe)); ok {
 			t.Errorf("Get(%q) = %q, want miss", probe, v)
 		}
 	}
-	if v, _, ok := c.Get([]byte("abc")); !ok || v != "v" {
+	if v, ok := c.Get([]byte("abc")); !ok || v != "v" {
 		t.Errorf("Get(abc) = (%q, %v), want the exact entry", v, ok)
 	}
 }
@@ -215,38 +170,44 @@ func TestEmptyPrefixDecidesEverything(t *testing.T) {
 	c := New[string](0)
 	c.PutPrefix(nil, "all")
 	for _, probe := range []string{"", "x", "abc"} {
-		if v, _, ok := c.Get([]byte(probe)); !ok || v != "all" {
+		if v, ok := c.Get([]byte(probe)); !ok || v != "all" {
 			t.Errorf("Get(%q) = (%q, %v), want the empty-prefix entry", probe, v, ok)
 		}
 	}
 }
 
-// TestRefRoundTrip: a missing Get's Ref admits the exact entry
-// without re-hashing; a hit's Ref upgrades the entry in place; the
-// zero Ref is inert.
-func TestRefRoundTrip(t *testing.T) {
+// TestSetExact: SetExact overwrites an input's existing exact entry
+// and nothing else — not a missing entry, not a prefix entry over the
+// same bytes, not the exact entry of an extension — and never changes
+// Len.
+func TestSetExact(t *testing.T) {
 	c := New[string](0)
-	_, ref, ok := c.Get([]byte("key"))
-	if ok {
-		t.Fatal("unexpected hit on empty cache")
+	c.SetExact([]byte("key"), "nope")
+	if _, ok := c.Get([]byte("key")); ok || c.Len() != 0 {
+		t.Fatalf("SetExact without an entry stored one (Len %d)", c.Len())
 	}
-	if !c.PutExactAt(ref, "v1") {
-		t.Fatal("PutExactAt on a missed Ref should store")
+	c.PutExact([]byte("key"), "v1")
+	if c.PutExact([]byte("key"), "v2") {
+		t.Fatal("PutExact is first-write-wins")
 	}
-	if c.PutExactAt(ref, "v2") {
-		t.Fatal("PutExactAt is first-write-wins for a stale missed Ref")
+	c.SetExact([]byte("key"), "v3")
+	if v, ok := c.Get([]byte("key")); !ok || v != "v3" {
+		t.Fatalf("Get = (%q, %v) after SetExact, want the overwritten entry", v, ok)
 	}
-	v, ref2, ok := c.Get([]byte("key"))
-	if !ok || v != "v1" {
-		t.Fatalf("Get = (%q, %v), want the admitted entry", v, ok)
+	c.PutPrefix([]byte("pre"), "p")
+	c.SetExact([]byte("pre"), "nope")
+	c.SetExact([]byte("ke"), "nope")
+	c.SetExact([]byte("keyz"), "nope")
+	if v, ok := c.Get([]byte("pre")); !ok || v != "p" {
+		t.Fatalf("Get(pre) = (%q, %v), SetExact touched a prefix entry", v, ok)
 	}
-	c.Set(ref2, "v3")
-	if v, _, _ := c.Get([]byte("key")); v != "v3" {
-		t.Fatalf("Set through a hit Ref did not overwrite: got %q", v)
+	for _, probe := range []string{"ke", "keyz"} {
+		if v, ok := c.Get([]byte(probe)); ok {
+			t.Fatalf("Get(%q) = %q, SetExact stored a missing entry", probe, v)
+		}
 	}
-	c.Set(Ref{}, "nope") // must not panic or store anything
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d after zero-Ref Set, want 1", c.Len())
+	if c.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", c.Len())
 	}
 }
 
@@ -257,8 +218,6 @@ func TestRetire(t *testing.T) {
 	c := New[string](0)
 	c.PutExact([]byte("k"), "v")
 	c.PutPrefix([]byte("p"), "w")
-	_, hit, _ := c.Get([]byte("k"))
-	_, miss, _ := c.Get([]byte("x"))
 	if c.m == nil || c.bloom == nil || c.lens == nil {
 		t.Fatal("a live cache with a prefix entry lacks its map, bloom filter or bitset")
 	}
@@ -266,16 +225,13 @@ func TestRetire(t *testing.T) {
 	if !c.Retired() {
 		t.Fatal("Retired() = false after Retire")
 	}
-	if _, _, ok := c.Get([]byte("k")); ok {
+	if _, ok := c.Get([]byte("k")); ok {
 		t.Error("Get hit after Retire")
 	}
-	if _, r, ok := c.GetExt(miss, []byte("y")); ok || r != (Ref{}) {
-		t.Errorf("GetExt after Retire = (%+v, %v), want the zero Ref and a miss", r, ok)
-	}
-	if c.PutExact([]byte("x"), "v") || c.PutPrefix([]byte("y"), "v") || c.PutExactAt(miss, "v") {
+	if c.PutExact([]byte("x"), "v") || c.PutPrefix([]byte("y"), "v") {
 		t.Error("Put admitted an entry after Retire")
 	}
-	c.Set(hit, "z") // must not panic or store anything
+	c.SetExact([]byte("k"), "z") // must not panic or store anything
 	if c.Len() != 0 {
 		t.Errorf("Len = %d after Retire, want 0", c.Len())
 	}
@@ -390,7 +346,7 @@ func TestConcurrentReaders(t *testing.T) {
 				case 1:
 					c.PutExact([]byte(k), "E:"+k)
 				default:
-					v, _, ok := c.Get([]byte(k))
+					v, ok := c.Get([]byte(k))
 					if !ok {
 						res.answers = append(res.answers, "")
 						continue
@@ -428,19 +384,14 @@ func TestConcurrentReaders(t *testing.T) {
 	}
 }
 
-// TestConcurrentRetire retires a cache on one goroutine while Refs
-// taken before the Retire are still held, then hands the cache to a
-// third goroutine that makes every call with those stale Refs. Retire
-// releases the map, bloom filter and bitset the Refs were taken
-// against, so each call must answer a clean miss or do nothing instead
-// of touching released storage (a nil-bloom panic once lived on this
+// TestConcurrentRetire fills a cache on one goroutine, retires it on
+// a second, and hands it to a third that makes every call on keys the
+// first owner stored. Retire releases the map, bloom filter and bitset,
+// so each call must answer a clean miss or do nothing instead of
+// touching released storage (a nil-bloom panic once lived on this
 // path). Several such pipelines run in parallel, and the caches of the
 // others must not notice.
 func TestConcurrentRetire(t *testing.T) {
-	type handoff struct {
-		c         *Cache[string]
-		hit, miss Ref
-	}
 	const pipelines = 4
 	errs := make([]error, pipelines)
 	var wg sync.WaitGroup
@@ -449,8 +400,8 @@ func TestConcurrentRetire(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for round := 0; round < 50; round++ {
-				filled, retired := make(chan handoff), make(chan handoff)
-				go func() { // owner 1: fill, take Refs
+				filled, retired := make(chan *Cache[string]), make(chan *Cache[string])
+				go func() { // owner 1: fill
 					c := New[string](0)
 					rng := rand.New(rand.NewSource(int64(p*1000 + round)))
 					for i := 0; i < 200; i++ {
@@ -459,27 +410,21 @@ func TestConcurrentRetire(t *testing.T) {
 						c.PutPrefix([]byte(k+"z"), "P:"+k)
 					}
 					c.PutExact([]byte("hit"), "v")
-					_, hit, _ := c.Get([]byte("hit"))
-					_, miss, _ := c.Get([]byte("miss"))
-					filled <- handoff{c, hit, miss}
+					filled <- c
 				}()
 				go func() { // owner 2: retire
-					h := <-filled
-					h.c.Retire()
-					retired <- h
+					c := <-filled
+					c.Retire()
+					retired <- c
 				}()
-				h := <-retired // owner 3: probe with the stale Refs
-				if _, _, ok := h.c.Get([]byte("hit")); ok {
+				c := <-retired // owner 3: probe the retired cache
+				if _, ok := c.Get([]byte("hit")); ok {
 					errs[p] = fmt.Errorf("round %d: Get hit after Retire", round)
 					return
 				}
-				if _, r, ok := h.c.GetExt(h.miss, []byte("z")); ok || r != (Ref{}) {
-					errs[p] = fmt.Errorf("round %d: GetExt after Retire = (%+v, %v)", round, r, ok)
-					return
-				}
-				h.c.Set(h.hit, "w")
-				if h.c.PutExactAt(h.miss, "v") || h.c.PutPrefix([]byte("a"), "v") || h.c.Len() != 0 {
-					errs[p] = fmt.Errorf("round %d: retired cache admitted an entry (Len %d)", round, h.c.Len())
+				c.SetExact([]byte("hit"), "w")
+				if c.PutExact([]byte("miss"), "v") || c.PutPrefix([]byte("a"), "v") || c.Len() != 0 {
+					errs[p] = fmt.Errorf("round %d: retired cache admitted an entry (Len %d)", round, c.Len())
 					return
 				}
 			}

@@ -63,33 +63,6 @@ type Comparison struct {
 	Seq      int
 }
 
-// Candidates returns the concrete replacement strings that would
-// satisfy the comparison, for use as substitutions at Index. Character
-// ranges and sets expand to one candidate per member byte.
-func (c *Comparison) Candidates() [][]byte {
-	switch c.Kind {
-	case CmpCharEq, CmpStrEq:
-		return [][]byte{c.Expected}
-	case CmpCharRange:
-		if len(c.Expected) != 2 || c.Expected[0] > c.Expected[1] {
-			return nil
-		}
-		lo, hi := c.Expected[0], c.Expected[1]
-		out := make([][]byte, 0, int(hi)-int(lo)+1)
-		for b := int(lo); b <= int(hi); b++ {
-			out = append(out, []byte{byte(b)})
-		}
-		return out
-	case CmpCharSet:
-		out := make([][]byte, 0, len(c.Expected))
-		for _, b := range c.Expected {
-			out = append(out, []byte{b})
-		}
-		return out
-	}
-	return nil
-}
-
 // EOFAccess records an attempted read at input offset Index, where
 // Index is at or past the end of the input: the parser expected more
 // characters.
@@ -570,15 +543,6 @@ func (r *Record) DecidedPrefix() (int, bool) {
 	return r.Decided, true
 }
 
-// CoveredBlocks returns the set of block IDs hit during the run.
-func (r *Record) CoveredBlocks() map[uint32]bool {
-	out := make(map[uint32]bool, len(r.BlockFirst))
-	for id := range r.BlockFirst {
-		out[id] = true
-	}
-	return out
-}
-
 // LastComparedIndex returns the largest input offset touched by any
 // comparison, or -1 if no tainted comparison was recorded.
 func (r *Record) LastComparedIndex() int {
@@ -600,48 +564,6 @@ func (r *Record) EOFAtEnd() bool {
 		}
 	}
 	return false
-}
-
-// ComparisonsAt returns the comparisons whose span ends at input
-// offset idx — the comparisons made to the character the fuzzer will
-// substitute.
-func (r *Record) ComparisonsAt(idx int) []Comparison {
-	var out []Comparison
-	for i := range r.Comparisons {
-		if r.Comparisons[i].Last == idx {
-			out = append(out, r.Comparisons[i])
-		}
-	}
-	return out
-}
-
-// BlocksBeforeSeq counts distinct blocks first hit strictly before
-// event sequence number seq. The core uses it to ignore coverage that
-// error-handling code contributes after the failing character was
-// first examined (paper §3.1).
-func (r *Record) BlocksBeforeSeq(seq int) map[uint32]bool {
-	out := make(map[uint32]bool)
-	for id, s := range r.BlockFirst {
-		if s < seq {
-			out[id] = true
-		}
-	}
-	return out
-}
-
-// FirstComparisonSeqAt returns the sequence number of the first
-// comparison touching input offset idx, or -1 if none.
-func (r *Record) FirstComparisonSeqAt(idx int) int {
-	best := -1
-	for i := range r.Comparisons {
-		c := &r.Comparisons[i]
-		if c.Index <= idx && idx <= c.Last {
-			if best == -1 || c.Seq < best {
-				best = c.Seq
-			}
-		}
-	}
-	return best
 }
 
 // AvgStackLastTwo returns the mean instrumented stack depth of the

@@ -45,12 +45,9 @@ func TestCharRangeCandidates(t *testing.T) {
 	c, _ := tr.At(0)
 	tr.CharRange(c, '0', '3')
 	rec := tr.Finish(1)
-	cands := rec.Comparisons[0].Candidates()
-	if len(cands) != 4 {
-		t.Fatalf("range candidates = %d, want 4", len(cands))
-	}
-	if string(cands[0]) != "0" || string(cands[3]) != "3" {
-		t.Errorf("candidates = %q", cands)
+	cmp := rec.Comparisons[0]
+	if cmp.Kind != CmpCharRange || string(cmp.Expected) != "03" {
+		t.Errorf("range comparison = %v %q, want range \"03\"", cmp.Kind, cmp.Expected)
 	}
 }
 
@@ -104,6 +101,10 @@ func TestBlocksAndPathHash(t *testing.T) {
 	}
 }
 
+// TestBlocksBeforeSeq pins the sequence numbers the engine's §3.1
+// trim reads: a block first hit before the comparison at input index 1
+// has a smaller BlockFirst than that comparison's Seq, and a block hit
+// after it a larger one.
 func TestBlocksBeforeSeq(t *testing.T) {
 	tr := New([]byte("ab"), Full())
 	tr.Block(1)
@@ -115,13 +116,16 @@ func TestBlocksBeforeSeq(t *testing.T) {
 	tr.Block(3)
 	rec := tr.Finish(1)
 
-	seq := rec.FirstComparisonSeqAt(1)
-	if seq < 0 {
-		t.Fatal("no comparison at index 1")
+	if len(rec.Comparisons) != 2 || rec.Comparisons[1].Index != 1 {
+		t.Fatalf("comparisons = %+v, want the second at index 1", rec.Comparisons)
 	}
-	blks := rec.BlocksBeforeSeq(seq)
-	if !blks[1] || !blks[2] || blks[3] {
-		t.Errorf("BlocksBeforeSeq = %v, want {1,2}", blks)
+	seq := rec.Comparisons[1].Seq
+	for id, before := range map[uint32]bool{1: true, 2: true, 3: false} {
+		first, ok := rec.BlockFirst[id]
+		if !ok || (first < seq) != before {
+			t.Errorf("block %d: BlockFirst = %d (hit %v), comparison Seq = %d, want before=%v",
+				id, first, ok, seq, before)
+		}
 	}
 }
 
